@@ -175,15 +175,20 @@ def _emit_records(records, args, config) -> None:
             write_records_json(records, fh, config)
 
 
+def _onevar_poly(args):
+    """The --f of an --onevar run, parsed as a polynomial in x; no --g allowed."""
+    if not args.f or args.g:
+        raise ValueError("--onevar takes the one-variable polynomial in --f, with no --g")
+    return parse_univariate(args.f)
+
+
 def cmd_sum(args) -> int:
     levels = _parse_m_range(args.m)
     config = _resolved_config(
         args, ("p", "m", "u", "f", "g", "onevar", "method", "format", "sigma")
     )
     if args.onevar:
-        if not args.f or args.g:
-            raise ValueError("--onevar takes the one-variable polynomial in --f, with no --g")
-        f_one = parse_univariate(args.f)
+        f_one = _onevar_poly(args)
         records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in levels]
     else:
         if not args.f or not args.g:
@@ -204,9 +209,7 @@ def cmd_sum(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.onevar:
-        if not args.f or args.g:
-            raise ValueError("--onevar takes the one-variable polynomial in --f, with no --g")
-        f_one = parse_univariate(args.f)
+        f_one = _onevar_poly(args)
         cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
         records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in _parse_m_range(args.m)]
     else:
@@ -230,9 +233,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sigma(args) -> int:
     if args.onevar:
-        if not args.f or args.g:
-            raise ValueError("--onevar takes the one-variable polynomial in --f, with no --g")
-        f_one = parse_univariate(args.f)
+        f_one = _onevar_poly(args)
         cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
     else:
         if not args.f or not args.g:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -302,44 +302,6 @@ def count_report(f: BiPoly, p: int, m_max: int) -> CountReport:
         stabilized=stable_from is not None,
         stable_from=stable_from,
     )
-
-
-# -- 0-dimensional systems (used by the critical-locus search) ---------------
-
-
-def lift_system_levels(
-    polys: Sequence[BiPoly], p: int, m: int, budget: int = 200_000
-) -> Iterator[list[tuple[int, int]]]:
-    """Simultaneous solutions of several polynomials mod p, ..., p^m.
-
-    Plain digit-pair extension with no Hensel shortcut: intended for systems
-    whose solution sets stay small (0-dimensional loci).  Raises BudgetError
-    when a level would exceed `budget` candidate extensions.
-    """
-    pts = [
-        (x, y)
-        for x in range(p)
-        for y in range(p)
-        if all(g.evaluate(x, y, p) == 0 for g in polys)
-    ]
-    yield list(pts)
-    for k in range(1, m):
-        q, q1 = p**k, p**(k + 1)
-        if len(pts) * p * p > budget:
-            raise BudgetError(
-                f"system tree needs {len(pts) * p * p} tests at level {k + 1}, "
-                f"budget is {budget}"
-            )
-        nxt = []
-        for x, y in pts:
-            for a in range(p):
-                xa = x + q * a
-                for b in range(p):
-                    yb = y + q * b
-                    if all(g.evaluate(xa, yb, q1) == 0 for g in polys):
-                        nxt.append((xa, yb))
-        pts = nxt
-        yield list(pts)
 
 
 # -- serialization ------------------------------------------------------------

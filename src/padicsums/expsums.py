@@ -6,9 +6,11 @@ z = u / p^m (gcd(u, p) = 1, m >= 1) is
     S_m = sum over (x, y) in Y_m of exp(2*pi*i * u*g(x,y) / p^m),
 
 with Y_m the solution set mod p^m.  Phases are reduced mod p^m in integer
-arithmetic before any float conversion, and terms are combined by pairwise
-(tree) summation over the lexicographic point order, so results are
-deterministic and the rounding error stays logarithmic in the term count.
+arithmetic before any float conversion.  Every sum (curve, one-variable and
+branch-restricted) then goes through one kernel, `_char_sum`, which adds the
+terms with np.add.reduce in the given point order: that reduction is
+pairwise, so results are deterministic and the rounding error stays
+logarithmic in the term count.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .counting import PointSet, _check_vector_safe, _eval_vec, lift_levels
-from .padic import additive_char, is_prime
+from .padic import is_prime
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
 
@@ -31,7 +33,6 @@ __all__ = [
     "PhaseSpec",
     "SumRecord",
     "decay_records",
-    "pairwise_sum",
     "sum_curve",
     "sum_onevar",
     "sum_parametric",
@@ -121,20 +122,6 @@ class SumRecord:
 def _sig15(x: float) -> float:
     """Round to 15 significant digits so serialized output is stable."""
     return float(f"{x:.15g}")
-
-
-def pairwise_sum(terms: Sequence[complex]) -> complex:
-    """Tree reduction in the given order; deterministic for a fixed order."""
-    n = len(terms)
-    if n == 0:
-        return 0j
-    if n <= 8:
-        total = 0j
-        for t in terms:
-            total += t
-        return total
-    half = n // 2
-    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
 
 
 def _phase_values(g: BiPoly, xs: np.ndarray, ys: np.ndarray, phase: PhaseSpec) -> np.ndarray:
@@ -233,11 +220,12 @@ def sum_parametric(
     u = phase.u % q
     step = param.p**l
     count = q // step
-    terms = []
-    for s in range(count):
-        x, y = param.point_at(step * s, q)
-        terms.append(additive_char(u * g.evaluate(x, y, q), phase.m, phase.p))
-    value = pairwise_sum(terms)
+    # Exact Python-int phases, so no int64 cap on q; float64 holds them exactly
+    # for q < 2^53.
+    phases = [
+        u * g.evaluate(*param.point_at(step * s, q), q) % q for s in range(count)
+    ]
+    value = _char_sum(np.array(phases, dtype=np.float64), q)
     return SumRecord(
         p=phase.p,
         m=phase.m,

@@ -1,8 +1,8 @@
-"""Exact arithmetic over Z/p^N, p-adic valuations, and the additive character.
+"""p-adic valuations, primality, and the additive character.
 
-Everything in this module is plain integer arithmetic.  A residue is a
-canonical representative in [0, p^n); valuations are computed by exact
-division; the standard additive character exp(2*pi*i*{z}) only touches
+Valuations are computed by exact integer division, with INFINITY as the
+valuation of zero.  The standard additive character exp(2*pi*i*{z}) is the
+scalar reference for the vectorized character sums: it only touches
 floating point after its phase has been reduced mod p^m exactly, so two
 phases that agree mod p^m produce bit-identical complex values.
 """
@@ -11,18 +11,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
     "INFINITY",
-    "NonUnitError",
-    "PadicContext",
-    "PadicScalar",
-    "Residue",
     "additive_char",
     "is_prime",
-    "scalar_decompose",
     "valuation",
 ]
 
@@ -130,102 +124,6 @@ def valuation(value: int | Fraction, p: int, den: int = 1):
     return _int_valuation(num, p) - _int_valuation(den, p)
 
 
-class NonUnitError(ArithmeticError):
-    """Raised on inversion of a non-unit; carries the offending valuation."""
-
-    def __init__(self, message: str, val):
-        super().__init__(message)
-        self.valuation = val
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/p^n stored as its canonical representative in [0, p^n)."""
-
-    value: int
-    p: int
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("precision must be at least 1")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.n
-
-    @property
-    def is_unit(self) -> bool:
-        return self.value % self.p != 0
-
-    def _check(self, other: "Residue") -> None:
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError(
-                f"mixed moduli: {self.p}^{self.n} vs {other.p}^{other.n}"
-            )
-
-    def _lift(self, other) -> "Residue":
-        if isinstance(other, int):
-            return Residue(other, self.p, self.n)
-        if isinstance(other, Residue):
-            self._check(other)
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value + other.value, self.p, self.n)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value - other.value, self.p, self.n)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Residue(self.value * other.value, self.p, self.n)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.p, self.n)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        return Residue(pow(self.value, k, self.modulus), self.p, self.n)
-
-    def inverse(self) -> "Residue":
-        if not self.is_unit:
-            raise NonUnitError(
-                f"{self.value} is not a unit mod {self.p}^{self.n}",
-                self.valuation(),
-            )
-        return Residue(pow(self.value, -1, self.modulus), self.p, self.n)
-
-    def valuation(self):
-        """Valuation of the residue itself; INFINITY for the zero residue.
-
-        A zero residue only certifies v >= n for the number it approximates,
-        so callers tracking approximation precision must compare against n.
-        """
-        if self.value == 0:
-            return INFINITY
-        return _int_valuation(self.value, self.p)
-
-
 def additive_char(phase_num: int, m: int, p: int) -> complex:
     """exp(2*pi*i * r/p^m) where r = phase_num mod p^m, reduced exactly first.
 
@@ -240,75 +138,3 @@ def additive_char(phase_num: int, m: int, p: int) -> complex:
     q = p**m
     r = phase_num % q
     return cmath.exp(2j * math.pi * (r / q))
-
-
-@dataclass(frozen=True)
-class PadicScalar:
-    """A scalar written as p^val * unit with unit invertible mod p^n.
-
-    The exact zero is represented with val = INFINITY and unit = None; no
-    integer sentinel stands in for the infinite valuation.
-    """
-
-    val: object  # int, or INFINITY for zero
-    unit: Residue | None
-    p: int
-
-    @property
-    def is_zero(self) -> bool:
-        return self.val is INFINITY
-
-    def magnitude(self) -> float:
-        """The real absolute value p^(-val); 0.0 for the exact zero."""
-        if self.is_zero:
-            return 0.0
-        return float(self.p) ** (-self.val)
-
-
-def scalar_decompose(z: int | Fraction, ctx: "PadicContext") -> PadicScalar:
-    """Split z into p^val * unit with the unit carried mod p^precision."""
-    z = Fraction(z)
-    if z == 0:
-        return PadicScalar(INFINITY, None, ctx.p)
-    p, mod = ctx.p, ctx.modulus
-    vn = _int_valuation(z.numerator, p)
-    vd = _int_valuation(z.denominator, p)
-    num_unit = z.numerator // p**vn
-    den_unit = z.denominator // p**vd
-    unit = num_unit * pow(den_unit, -1, mod) % mod
-    return PadicScalar(vn - vd, Residue(unit, p, ctx.precision), p)
-
-
-@dataclass(frozen=True)
-class PadicContext:
-    """Working ring Z/p^precision for a fixed prime p.
-
-    Only the unramified-degree-one case is supported: the residue field has
-    q = p elements and the trace in the character is the identity.
-    """
-
-    p: int
-    precision: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.precision < 1:
-            raise ValueError("precision must be at least 1")
-
-    @property
-    def q(self) -> int:
-        return self.p
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-    def residue(self, value: int, n: int | None = None) -> Residue:
-        return Residue(value, self.p, self.precision if n is None else n)
-
-    def scalar(self, z: int | Fraction) -> PadicScalar:
-        return scalar_decompose(z, self)
-
-    def char(self, phase_num: int, m: int) -> complex:
-        return additive_char(phase_num, m, self.p)

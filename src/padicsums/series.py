@@ -161,23 +161,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def shift_t(self, k: int) -> "TruncSeries":
-        """Multiply by t^k, keeping the same truncation order."""
-        if k < 0:
-            raise ValueError("negative shift")
-        out = (0,) * k + self.coeffs
-        return TruncSeries(out[: self.order_cap + 1], self.p, self.n)
-
-    def compose(self, inner: "TruncSeries") -> "TruncSeries":
-        """self(inner(t)); inner must have zero constant term."""
-        top = self._align(inner)
-        if inner.constant != 0:
-            raise ValueError("inner series must vanish at t = 0")
-        acc = TruncSeries.zeros(self.p, self.n, top)
-        for c in reversed(self.coeffs[: top + 1]):
-            acc = acc * inner + c
-        return acc
-
     def inverse(self) -> "TruncSeries":
         """Multiplicative inverse; the constant term must be a unit."""
         if self.constant % self.p == 0:
@@ -478,7 +461,7 @@ def hensel_param(
         cur = min(2 * cur, order)
         h = h.padded(cur)
         num = _branch_residual(f, anchor, h)
-        den = _branch_fy(fy, anchor, h)
+        den = _branch_residual(fy, anchor, h)
         h = h - num * den.inverse()
 
     param = Parametrization(anchor, h, "y")
@@ -486,16 +469,11 @@ def hensel_param(
     return param
 
 
-def _branch_residual(f: BiPoly, anchor: CurvePoint, h: TruncSeries) -> TruncSeries:
+def _branch_residual(poly: BiPoly, anchor: CurvePoint, h: TruncSeries) -> TruncSeries:
+    """poly along the branch (anchor.x + t, anchor.y + h(t))."""
     sx = _t_identity(h) + anchor.x
     sy = h + anchor.y
-    return eval_at_series(f, sx, sy)
-
-
-def _branch_fy(fy: BiPoly, anchor: CurvePoint, h: TruncSeries) -> TruncSeries:
-    sx = _t_identity(h) + anchor.x
-    sy = h + anchor.y
-    return eval_at_series(fy, sx, sy)
+    return eval_at_series(poly, sx, sy)
 
 
 def _assert_residual(f: BiPoly, param: Parametrization) -> None:

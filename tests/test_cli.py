@@ -131,12 +131,21 @@ def test_sum_onevar_linear_vanishes(capsys):
     assert rec["magnitude"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sum_onevar_rejects_weight(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sum", "--m", "2"),
+        ("verify", "--m", "2..3"),
+        ("sigma",),
+    ],
+    ids=["sum", "verify", "sigma"],
+)
+def test_sum_onevar_rejects_weight(capsys, argv):
     code, _, err = run(
-        capsys, "sum", "--p", "5", "--m", "2", "--onevar", "--f", "x^2", "--g", "y"
+        capsys, *argv, "--p", "5", "--onevar", "--f", "x^2", "--g", "y"
     )
     assert code == 2
-    assert "onevar" in err
+    assert "--onevar takes the one-variable polynomial in --f, with no --g" in err
 
 
 def test_sum_brute_method_agrees_with_lift(capsys):

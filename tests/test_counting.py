@@ -14,10 +14,10 @@ from padicsums.counting import (
     count_report,
     lift_levels,
     lift_points,
-    lift_system_levels,
     read_points,
     write_points,
 )
+from padicsums.invariants import _extend_classes
 from padicsums.polynomials import parse_poly
 
 
@@ -168,22 +168,26 @@ def test_report_of_empty_curve():
 def test_system_tree_matches_direct_scan():
     f = parse_poly("y - x^2")
     j = parse_poly("2*x")  # critical locus of (f, y): x = 0 on the curve
-    levels = list(lift_system_levels([f, j], 5, 3))
-    for k, pts in enumerate(levels, start=1):
+
+    def direct(k):
         q = 5**k
-        direct = [
+        return [
             (x, y)
             for x in range(q)
             for y in range(q)
             if f.evaluate(x, y) % q == 0 and j.evaluate(x, y) % q == 0
         ]
-        assert sorted(pts) == direct
+
+    classes = direct(1)
+    for k in (1, 2):
+        classes = _extend_classes([f, j], classes, 5, k, budget=200_000)
+        assert sorted(classes) == direct(k + 1)
 
 
 def test_system_tree_budget():
     f = parse_poly("y - x^2")
     with pytest.raises(BudgetError):
-        list(lift_system_levels([f], 5, 4, budget=10))
+        _extend_classes([f], [(0, 0), (1, 1)], 5, 1, budget=10)
 
 
 # -- serialization ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The reference oracle below sums cmath exponentials over a brute-force grid
 scan, one term at a time.  It shares no code with the package's vectorized
-pairwise evaluation.
+character-sum kernel.
 """
 
 import cmath
@@ -18,7 +18,6 @@ from padicsums.expsums import (
     PhaseSpec,
     SumRecord,
     decay_records,
-    pairwise_sum,
     sum_curve,
     sum_onevar,
     sum_parametric,
@@ -64,17 +63,6 @@ def test_normalization_scale():
     rec = SumRecord(5, 2, 1, "f", "g", complex(5, 0), 25)
     assert rec.with_normalization(2).normalized == pytest.approx(5 / 5.0**1)
     assert rec.with_normalization(1).normalized == pytest.approx(5.0)
-
-
-# -- pairwise reduction --------------------------------------------------------------
-
-
-def test_pairwise_sum_matches_direct():
-    terms = [cmath.exp(2j * cmath.pi * k / 97) for k in range(977)]
-    direct = sum(terms)
-    assert abs(pairwise_sum(terms) - direct) < 1e-10
-    assert pairwise_sum([]) == 0
-    assert pairwise_sum([1 + 2j]) == 1 + 2j
 
 
 # -- values against the independent oracle ---------------------------------------------
@@ -204,6 +192,18 @@ def test_parametric_exact_power_magnitude():
         param = hensel_param(f, pt, order=max(4, m), precision=m + 2)
         rec = sum_parametric(param, g, l, PhaseSpec(p, m, 1))
         assert rec.magnitude == pytest.approx(p ** (m - l), rel=1e-12)
+
+
+def test_parametric_exact_phases_above_int64_wall():
+    # q = 2^32 is past the int64 cap of the vectorized enumeration; with
+    # t = 2^15 * s the phase t^2 = 2^30 * s^2 mod 2^32, so the 2^17 terms are
+    # 1 for even s and i for odd s: S = 2^16 * (1 + i), a quadratic Gauss sum
+    p, m, l = 2, 32, 15
+    f, g = parse_poly("y - x^2"), parse_poly("y")
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=16, precision=m)
+    rec = sum_parametric(param, g, l, PhaseSpec(p, m, 1))
+    assert rec.point_count == 2**17
+    assert rec.value == pytest.approx(2**16 * (1 + 1j), abs=1e-6)
 
 
 def test_parametric_tail_guards():

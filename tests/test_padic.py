@@ -1,7 +1,6 @@
-"""Residue arithmetic, valuations, and the additive character."""
+"""Primality, valuations, and the additive character."""
 
 import cmath
-import math
 from fractions import Fraction
 
 import pytest
@@ -9,12 +8,8 @@ from hypothesis import given, strategies as st
 
 from padicsums.padic import (
     INFINITY,
-    NonUnitError,
-    PadicContext,
-    Residue,
     additive_char,
     is_prime,
-    scalar_decompose,
     valuation,
 )
 
@@ -27,18 +22,6 @@ def val_oracle(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
-
-
-def egcd_inverse(a: int, mod: int) -> int:
-    g, x = math.gcd(a, mod), None
-    assert g == 1
-    old_r, r = a % mod, mod
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_s % mod
 
 
 # -- primality and valuation ---------------------------------------------------
@@ -115,80 +98,6 @@ def test_infinity_ordering_and_absorption():
         INFINITY - INFINITY
 
 
-# -- residue rings ---------------------------------------------------------------
-
-
-def test_residue_reduces_canonically():
-    assert Residue(-1, 5, 2).value == 24
-    assert Residue(27, 5, 2).value == 2
-    assert Residue(0, 3, 1).value == 0
-
-
-def test_residue_arithmetic():
-    a = Residue(7, 5, 2)
-    b = Residue(21, 5, 2)
-    assert (a + b).value == 3
-    assert (a - b).value == (7 - 21) % 25
-    assert (a * b).value == (7 * 21) % 25
-    assert (a**3).value == pow(7, 3, 25)
-    assert (-a).value == 18
-
-
-def test_residue_mixed_rings_rejected():
-    with pytest.raises(ValueError):
-        Residue(1, 5, 2) + Residue(1, 5, 3)
-    with pytest.raises(ValueError):
-        Residue(1, 5, 2) * Residue(1, 7, 2)
-
-
-def test_residue_inverse_frozen_case():
-    # 3 * 11 = 33 = 2 * 16 + 1
-    assert Residue(3, 2, 4).inverse().value == 11
-
-
-def test_residue_inverse_nonunit():
-    with pytest.raises(NonUnitError) as exc:
-        Residue(10, 5, 3).inverse()
-    assert exc.value.valuation == 1
-    with pytest.raises(NonUnitError) as exc:
-        Residue(0, 5, 3).inverse()
-    assert exc.value.valuation is INFINITY
-
-
-@given(
-    st.sampled_from([2, 3, 5, 7, 13]),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=-(10**6), max_value=10**6),
-)
-def test_residue_inverse_matches_egcd(p, n, a):
-    mod = p**n
-    if a % p == 0:
-        with pytest.raises(NonUnitError):
-            Residue(a, p, n).inverse()
-    else:
-        got = Residue(a, p, n).inverse().value
-        assert got == egcd_inverse(a, mod)
-        assert (a * got) % mod == 1
-
-
-@given(
-    st.sampled_from([2, 3, 5, 7, 13]),
-    st.integers(min_value=1, max_value=6),
-    st.integers(min_value=1, max_value=10**6),
-)
-def test_residue_inverse_is_an_involution(p, n, a):
-    if a % p == 0:
-        a += 1
-    r = Residue(a, p, n)
-    assert r.inverse().inverse() == r
-
-
-def test_residue_valuation():
-    assert Residue(50, 5, 3).valuation() == 2
-    assert Residue(4, 5, 3).valuation() == 0
-    assert Residue(0, 5, 3).valuation() is INFINITY
-
-
 # -- the additive character ------------------------------------------------------
 
 
@@ -238,32 +147,3 @@ def test_char_sums_to_zero_over_full_period():
         q = p**m
         total = sum(additive_char(a, m, p) for a in range(q))
         assert abs(total) < 1e-10
-
-
-# -- scalar decomposition ----------------------------------------------------------
-
-
-def test_scalar_decompose_int():
-    ctx = PadicContext(5, 8)
-    s = scalar_decompose(50, ctx)
-    assert s.val == 2
-    assert s.unit.value % 5 != 0
-    assert (s.unit.value * 25) % 5**8 == 50 % 5**8
-    assert s.magnitude() == pytest.approx(5.0**-2)
-
-
-def test_scalar_decompose_fraction_and_zero():
-    ctx = PadicContext(5, 8)
-    s = scalar_decompose(Fraction(3, 25), ctx)
-    assert s.val == -2
-    assert s.magnitude() == pytest.approx(25.0)
-    z = scalar_decompose(0, ctx)
-    assert z.val is INFINITY
-    assert z.magnitude() == 0.0
-
-
-def test_context_validation():
-    with pytest.raises(ValueError):
-        PadicContext(4, 3)
-    with pytest.raises(ValueError):
-        PadicContext(5, 0)

@@ -125,16 +125,6 @@ def test_inverse_needs_unit_constant():
         s.inverse()
 
 
-def test_compose_and_shift():
-    p, n = 5, 6
-    s = TruncSeries.from_coeffs([0, 1, 1], p, n, order=4)  # t + t^2
-    sq = s.compose(s)  # s(s(t)) = t + 2t^2 + 2t^3 + t^4
-    assert sq.coeffs == (0, 1, 2, 2, 1)
-    assert s.shift_t(2).coeffs == (0, 0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        s.compose(TruncSeries.from_coeffs([1, 1], p, n, order=4))
-
-
 def test_evaluate_is_horner_mod_q():
     s = TruncSeries.from_coeffs([3, 1, 4, 1], 7, 5)
     q = 7**5
