@@ -35,6 +35,7 @@ from .expsums import (
     write_records_json,
 )
 from .invariants import (
+    DEFAULT_SEARCH_BUDGET,
     ContactInconclusiveError,
     WeightConstantError,
     contact_exponent,
@@ -182,6 +183,13 @@ def _onevar_poly(args):
     return parse_univariate(args.f)
 
 
+def _curve_and_weight(args):
+    """The --f and --g of a bivariate run, both required, parsed."""
+    if not args.f or not args.g:
+        raise ValueError(f"{args.command} needs --f and --g (or --onevar)")
+    return parse_poly(args.f), parse_poly(args.g)
+
+
 def cmd_sum(args) -> int:
     levels = _parse_m_range(args.m)
     config = _resolved_config(
@@ -191,9 +199,7 @@ def cmd_sum(args) -> int:
         f_one = _onevar_poly(args)
         records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in levels]
     else:
-        if not args.f or not args.g:
-            raise ValueError("sum needs --f and --g (or --onevar)")
-        f, g = parse_poly(args.f), parse_poly(args.g)
+        f, g = _curve_and_weight(args)
         if args.method == "brute":
             records = [
                 sum_curve(f, g, PhaseSpec(args.p, m, args.u), brute_points(f, args.p, m, budget=args.budget))
@@ -213,9 +219,7 @@ def cmd_verify(args) -> int:
         cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
         records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in _parse_m_range(args.m)]
     else:
-        if not args.f or not args.g:
-            raise ValueError("verify needs --f and --g (or --onevar)")
-        f, g = parse_poly(args.f), parse_poly(args.g)
+        f, g = _curve_and_weight(args)
         cert = contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget)
         records = decay_records(f, g, args.p, _parse_m_range(args.m), u=args.u)
     report = decay_fit(records, cert, tolerance=args.tolerance)
@@ -236,9 +240,7 @@ def cmd_sigma(args) -> int:
         f_one = _onevar_poly(args)
         cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
     else:
-        if not args.f or not args.g:
-            raise ValueError("sigma needs --f and --g (or --onevar)")
-        f, g = parse_poly(args.f), parse_poly(args.g)
+        f, g = _curve_and_weight(args)
         cert = contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget)
     config = _resolved_config(args, ("p", "f", "g", "onevar", "depth"))
     payload = {"config": config, "certificate": cert.to_json_dict()}
@@ -290,11 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, m=False, fg=False, method=False, depth=False, fmt=False):
+    def common(
+        sp, *, budget=BRUTE_BUDGET, m=False, fg=False, method=False, depth=False, fmt=False
+    ):
         sp.add_argument("--p", type=int, required=False, help="prime p")
         sp.add_argument("--config", help="key=value defaults file")
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--budget", type=int, default=BRUTE_BUDGET, help="work cap")
+        sp.add_argument("--budget", type=int, default=budget, help="work cap")
         if m:
             sp.add_argument("--m", help="level m, or inclusive range a..b")
         if fg:
@@ -326,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sum)
 
     sp = sub.add_parser("verify", help="fit |S_m| decay against the predicted exponent")
-    common(sp, m=True, fg=True, depth=True, fmt=True)
+    common(sp, budget=DEFAULT_SEARCH_BUDGET, m=True, fg=True, depth=True, fmt=True)
     sp.add_argument("--tolerance", type=float, default=0.05, help="slope tolerance")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sigma", help="oscillation exponent certificate")
-    common(sp, fg=True, depth=True)
+    common(sp, budget=DEFAULT_SEARCH_BUDGET, fg=True, depth=True)
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("param", help="branch parametrization at a point")

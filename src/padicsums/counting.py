@@ -6,6 +6,9 @@ one-step Hensel formula at residues where a partial derivative is a unit
 and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
 for the lifting route, so the two never share evaluation code paths.
 
+A `PointSet` orders and deduplicates its points through one int64 key per
+point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
+
 All vectorized arithmetic stays in int64; guards cap the modulus so that
 every intermediate product provably fits.
 """
@@ -44,27 +47,31 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class PointSet:
-    """Solutions of f = 0 in (Z/p^m)^2, lexicographically sorted, no duplicates."""
+    """Solutions of f = 0 in (Z/p^m)^2, lexicographically sorted, no duplicates.
+
+    Points are sorted and deduplicated by the key x*q + y, q = p^m.  Every
+    PointSet has q <= 2^31 (the int64 evaluation cap), so keys stay below
+    q^2 <= 2^62 and fit in int64.
+    """
 
     p: int
     m: int
     xs: np.ndarray
     ys: np.ndarray
-    method: str
 
     def __post_init__(self):
         q = self.p**self.m
-        for arr in (self.xs, self.ys):
+        xs = np.asarray(self.xs, dtype=np.int64)
+        ys = np.asarray(self.ys, dtype=np.int64)
+        _check_vector_safe(q)
+        for arr in (xs, ys):
             if len(arr) and (int(arr.min()) < 0 or int(arr.max()) >= q):
                 raise ValueError(f"coordinates must be canonical residues mod {q}")
-        order = np.lexsort((self.ys, self.xs))
-        xs, ys = self.xs[order], self.ys[order]
-        if len(xs) > 1:
-            same = (np.diff(xs) == 0) & (np.diff(ys) == 0)
-            if same.any():
-                raise ValueError("duplicate points in a PointSet")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        keys = np.sort(xs * q + ys)
+        if (np.diff(keys) == 0).any():
+            raise ValueError("duplicate points in a PointSet")
+        object.__setattr__(self, "xs", keys // q)
+        object.__setattr__(self, "ys", keys % q)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -72,12 +79,7 @@ class PointSet:
     def __contains__(self, pair) -> bool:
         x, y = pair
         q = self.p**self.m
-        x, y = x % q, y % q
-        lo = np.searchsorted(self.xs, x, side="left")
-        hi = np.searchsorted(self.xs, x, side="right")
-        ys = self.ys[lo:hi]
-        k = np.searchsorted(ys, y)
-        return k < len(ys) and ys[k] == y
+        return bool(((self.xs == x % q) & (self.ys == y % q)).any())
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(int(a), int(b)) for a, b in zip(self.xs, self.ys)]
@@ -96,10 +98,8 @@ class PointSet:
         if m_low > self.m:
             raise ValueError("cannot reduce to a higher level")
         q = self.p**m_low
-        pairs = np.unique(
-            np.stack([self.xs % q, self.ys % q], axis=1), axis=0
-        )
-        return PointSet(self.p, m_low, pairs[:, 0], pairs[:, 1], self.method)
+        keys = np.unique(self.xs % q * q + self.ys % q)
+        return PointSet(self.p, m_low, keys // q, keys % q)
 
 
 def _check_vector_safe(q: int) -> None:
@@ -162,7 +162,7 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
         found_y.append(grid_y[hit])
     xs = np.concatenate(found_x) if found_x else np.empty(0, dtype=np.int64)
     ys = np.concatenate(found_y) if found_y else np.empty(0, dtype=np.int64)
-    return PointSet(p, m, xs, ys, "brute")
+    return PointSet(p, m, xs, ys)
 
 
 def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
@@ -178,15 +178,18 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     if m < 1:
         raise ValueError("level must be >= 1")
     _check_vector_safe(p**m)
-    fx, fy = f.partial("x"), f.partial("y")
 
     grid = np.arange(p, dtype=np.int64)
     gx = np.repeat(grid, p)
     gy = np.tile(grid, p)
     hit = _eval_vec(f, gx, gy, p) == 0
     xs, ys = gx[hit], gy[hit]
-    yield PointSet(p, 1, xs, ys, "lift")
+    yield PointSet(p, 1, xs, ys)
 
+    # A point keeps its residue (x0, y0) mod p as it lifts, so its partials
+    # mod p are read from tables over the level-1 grid, indexed x0*p + y0.
+    fx_tab = _eval_vec(f.partial("x"), gx, gy, p)
+    fy_tab = _eval_vec(f.partial("y"), gx, gy, p)
     inv_table = np.array(
         [0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64
     )
@@ -194,54 +197,32 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
 
     for k in range(1, m):
         q, q1 = p**k, p**(k + 1)
-        fx_red = _eval_vec(fx, xs % p, ys % p, p)
-        fy_red = _eval_vec(fy, xs % p, ys % p, p)
+        cell = xs % p * p + ys % p
+        fx_red, fy_red = fx_tab[cell], fy_tab[cell]
         smooth_y = fy_red != 0
         smooth_x = (~smooth_y) & (fx_red != 0)
         singular = ~(smooth_y | smooth_x)
 
-        parts_x, parts_y = [], []
+        parts = []
+        # Smooth fibers, one Hensel step: row `solved` of the (x, y)
+        # candidates (y where f_y is a unit mod p, else x) gets its next digit
+        # by one Newton division; the other row takes every digit.
+        for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
+            n = int(sel.sum())
+            cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
+            cand[1 - solved] += q * np.repeat(digits, n)
+            resid = _eval_vec(f, cand[0], cand[1], q1) // q
+            cand[solved] += q * (-resid * np.tile(inv_table[partial[sel]], p) % p)
+            parts.append(cand)
 
-        sel = np.flatnonzero(smooth_y)
-        if len(sel):
-            base_x, base_y = xs[sel], ys[sel]
-            inv = inv_table[fy_red[sel]]
-            cx = (base_x[None, :] + q * digits[:, None]).ravel()
-            cy = np.repeat(base_y[None, :], p, axis=0).ravel()
-            inv_rep = np.repeat(inv[None, :], p, axis=0).ravel()
-            resid = _eval_vec(f, cx, cy, q1) // q
-            b = (-resid * inv_rep) % p
-            parts_x.append(cx)
-            parts_y.append((cy + q * b) % q1)
+        n = int(singular.sum())
+        cand = np.tile(np.stack([xs[singular], ys[singular]]), p * p)
+        cand[0] += q * np.repeat(digits, p * n)
+        cand[1] += q * np.tile(np.repeat(digits, n), p)
+        parts.append(cand[:, _eval_vec(f, cand[0], cand[1], q1) == 0])
 
-        sel = np.flatnonzero(smooth_x)
-        if len(sel):
-            base_x, base_y = xs[sel], ys[sel]
-            inv = inv_table[fx_red[sel]]
-            cy = (base_y[None, :] + q * digits[:, None]).ravel()
-            cx = np.repeat(base_x[None, :], p, axis=0).ravel()
-            inv_rep = np.repeat(inv[None, :], p, axis=0).ravel()
-            resid = _eval_vec(f, cx, cy, q1) // q
-            a = (-resid * inv_rep) % p
-            parts_x.append((cx + q * a) % q1)
-            parts_y.append(cy)
-
-        sel = np.flatnonzero(singular)
-        if len(sel):
-            base_x, base_y = xs[sel], ys[sel]
-            cx = (base_x[None, None, :] + q * digits[:, None, None] + 0 * digits[None, :, None]).ravel()
-            cy = (base_y[None, None, :] + 0 * digits[:, None, None] + q * digits[None, :, None]).ravel()
-            keep = _eval_vec(f, cx, cy, q1) == 0
-            parts_x.append(cx[keep])
-            parts_y.append(cy[keep])
-
-        if parts_x:
-            xs = np.concatenate(parts_x)
-            ys = np.concatenate(parts_y)
-        else:
-            xs = np.empty(0, dtype=np.int64)
-            ys = np.empty(0, dtype=np.int64)
-        yield PointSet(p, k + 1, xs, ys, "lift")
+        xs, ys = np.concatenate(parts, axis=1)
+        yield PointSet(p, k + 1, xs, ys)
 
 
 def lift_points(f: BiPoly, p: int, m: int) -> PointSet:
@@ -339,7 +320,4 @@ def read_points(fh: IO[str]) -> tuple[PointSet, dict]:
         xs.append(int(sx))
         ys.append(int(sy))
     p, m = int(header["p"]), int(header["m"])
-    return (
-        PointSet(p, m, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64), "file"),
-        header,
-    )
+    return PointSet(p, m, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)), header

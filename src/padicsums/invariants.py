@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 DEFAULT_SEARCH_DEPTH = 6
+DEFAULT_SEARCH_BUDGET = 200_000
 _PRECISION_START = 16
 _PRECISION_CAP = 256
 _ORDER_CAP = 512
@@ -468,7 +469,7 @@ def contact_exponent(
     p: int,
     *,
     depth: int = DEFAULT_SEARCH_DEPTH,
-    budget: int = 200_000,
+    budget: int = DEFAULT_SEARCH_BUDGET,
     precision_start: int = _PRECISION_START,
     order_cap: int = _ORDER_CAP,
     precision_cap: int = _PRECISION_CAP,
@@ -597,7 +598,11 @@ def contact_exponent(
 
 
 def contact_exponent_onevar(
-    f_one: BiPoly, p: int, *, depth: int = DEFAULT_SEARCH_DEPTH, budget: int = 200_000
+    f_one: BiPoly,
+    p: int,
+    *,
+    depth: int = DEFAULT_SEARCH_DEPTH,
+    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ExponentCertificate:
     """Oscillation exponent of the one-variable sum of exp(2 pi i u f_one(x)/p^m).
 

@@ -165,9 +165,6 @@ class BiPoly:
     def uses_y(self) -> bool:
         return any(j > 0 for _, j in self.terms)
 
-    def uses_x(self) -> bool:
-        return any(i > 0 for i, _ in self.terms)
-
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, var: str) -> "BiPoly":

@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from padicsums import cli
 from padicsums.cli import main
 from padicsums.counting import read_points
+from padicsums.invariants import DEFAULT_SEARCH_BUDGET, WeightConstantError
 
 
 def run(capsys, *argv):
@@ -146,6 +148,45 @@ def test_sum_onevar_rejects_weight(capsys, argv):
     )
     assert code == 2
     assert "--onevar takes the one-variable polynomial in --f, with no --g" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sum", "--m", "2"),
+        ("verify", "--m", "2..3"),
+        ("sigma",),
+    ],
+    ids=["sum", "verify", "sigma"],
+)
+def test_bivariate_commands_need_f_and_g(capsys, argv):
+    code, _, err = run(capsys, *argv, "--p", "5", "--f", "y - x")
+    assert code == 2
+    assert f"{argv[0]} needs --f and --g (or --onevar)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--m", "2..3"),
+        ("sigma",),
+    ],
+    ids=["verify", "sigma"],
+)
+def test_search_budget_reaches_contact_exponent(capsys, monkeypatch, argv):
+    # The critical-point search takes the library's budget, not the brute
+    # scan's 10^8, unless --budget says otherwise.
+    seen = []
+
+    def fake_contact_exponent(f, g, p, *, depth, budget):
+        seen.append(budget)
+        raise WeightConstantError("stub")
+
+    monkeypatch.setattr(cli, "contact_exponent", fake_contact_exponent)
+    args = (*argv, "--p", "5", "--f", "y - x^2", "--g", "x")
+    assert run(capsys, *args)[0] == 3
+    assert run(capsys, *args, "--budget", "7")[0] == 3
+    assert seen == [DEFAULT_SEARCH_BUDGET, 7]
 
 
 def test_sum_brute_method_agrees_with_lift(capsys):

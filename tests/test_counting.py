@@ -33,7 +33,7 @@ def grid_oracle(f, p, m):
 
 
 def test_pointset_sorts_and_validates():
-    ps = PointSet(5, 1, np.array([3, 0, 1]), np.array([4, 0, 2]), "manual")
+    ps = PointSet(5, 1, np.array([3, 0, 1]), np.array([4, 0, 2]))
     assert list(ps.pairs()) == [(0, 0), (1, 2), (3, 4)]
     assert (1, 2) in ps
     assert (1, 3) not in ps
@@ -42,9 +42,24 @@ def test_pointset_sorts_and_validates():
 
 def test_pointset_rejects_duplicates_and_out_of_range():
     with pytest.raises(ValueError):
-        PointSet(5, 1, np.array([1, 1]), np.array([2, 2]), "manual")
+        PointSet(5, 1, np.array([1, 1]), np.array([2, 2]))
     with pytest.raises(ValueError):
-        PointSet(5, 1, np.array([5]), np.array([0]), "manual")
+        PointSet(5, 1, np.array([5]), np.array([0]))
+
+
+def test_pointset_key_order_at_the_cap():
+    top = 2**31 - 1
+    ps = PointSet(2, 31, np.array([top, 0, top]), np.array([0, top, top]))
+    assert list(ps.pairs()) == [(0, top), (top, 0), (top, top)]
+    assert (top, top) in ps
+    assert (-1, 0) in ps  # reduced mod 2^31 first
+    assert (0, 0) not in ps
+
+
+def test_pointset_rejects_modulus_above_cap():
+    empty = np.empty(0, dtype=np.int64)
+    with pytest.raises(BudgetError):
+        PointSet(2, 32, empty, empty)
 
 
 def test_pointset_reduce_mod():
@@ -88,6 +103,7 @@ def test_empty_curve():
 CORPUS = [
     "y - x^2",
     "y - x^3",
+    "x - y^3",
     "x*y - 1",
     "y^2 - x^3",
     "y^2 - x^3 - x",
