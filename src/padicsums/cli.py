@@ -293,22 +293,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(
-        sp, *, budget=BRUTE_BUDGET, m=False, fg=False, method=False, depth=False, fmt=False
+        sp, *, budget=None, m=False, fg=False, onevar=False, method=False, depth=False,
+        fmt=False,
     ):
         sp.add_argument("--p", type=int, required=False, help="prime p")
         sp.add_argument("--config", help="key=value defaults file")
         sp.add_argument("--out", help="output file (default stdout)")
-        sp.add_argument("--budget", type=int, default=budget, help="work cap")
+        if budget is not None:
+            sp.add_argument(
+                "--budget",
+                type=int,
+                default=budget,
+                help="work cap: grid cells of the brute scan (points, sum --method brute) "
+                "or digit-pair tests per level of the critical-point search (verify, sigma)",
+            )
         if m:
             sp.add_argument("--m", help="level m, or inclusive range a..b")
         if fg:
             sp.add_argument("--f", help="curve polynomial in x, y")
             sp.add_argument("--g", help="weight polynomial in x, y")
-            sp.add_argument(
-                "--onevar",
-                action="store_true",
-                help="treat --f as a one-variable polynomial in x, sum over x mod p^m",
-            )
+            if onevar:
+                sp.add_argument(
+                    "--onevar",
+                    action="store_true",
+                    help="treat --f as a one-variable polynomial in x, sum over x mod p^m",
+                )
             sp.add_argument("--u", type=int, default=1, help="unit numerator of z = u/p^m")
         if method:
             sp.add_argument(
@@ -320,22 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("points", help="enumerate curve points mod p^m")
-    common(sp, m=True, method=True)
+    common(sp, budget=BRUTE_BUDGET, m=True, method=True)
     sp.add_argument("--f", help="curve polynomial in x, y")
     sp.set_defaults(func=cmd_points)
 
     sp = sub.add_parser("sum", help="evaluate sums for levels m")
-    common(sp, m=True, fg=True, method=True, fmt=True)
+    common(sp, budget=BRUTE_BUDGET, m=True, fg=True, onevar=True, method=True, fmt=True)
     sp.add_argument("--sigma", type=int, help="normalize magnitudes by p^(m(1-1/sigma))")
     sp.set_defaults(func=cmd_sum)
 
     sp = sub.add_parser("verify", help="fit |S_m| decay against the predicted exponent")
-    common(sp, budget=DEFAULT_SEARCH_BUDGET, m=True, fg=True, depth=True, fmt=True)
+    common(
+        sp, budget=DEFAULT_SEARCH_BUDGET, m=True, fg=True, onevar=True, depth=True, fmt=True
+    )
     sp.add_argument("--tolerance", type=float, default=0.05, help="slope tolerance")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("sigma", help="oscillation exponent certificate")
-    common(sp, budget=DEFAULT_SEARCH_BUDGET, fg=True, depth=True)
+    common(sp, budget=DEFAULT_SEARCH_BUDGET, fg=True, onevar=True, depth=True)
     sp.set_defaults(func=cmd_sigma)
 
     sp = sub.add_parser("param", help="branch parametrization at a point")

@@ -4,13 +4,15 @@ Two independent routes to the same set: `brute_points` scans the full
 (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using the
 one-step Hensel formula at residues where a partial derivative is a unit
 and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
-for the lifting route, so the two never share evaluation code paths.
+for the lifting route: the two share the evaluator (`BiPoly.horner`), not
+the enumeration.  The exhaustive digit-pair step, `_extend_pairs`, also
+serves the critical-locus search of the invariants module.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
 
-All vectorized arithmetic stays in int64; guards cap the modulus so that
-every intermediate product provably fits.
+Point sets and lifting stay in int64; guards cap the modulus so that every
+intermediate product provably fits.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ __all__ = [
 BRUTE_BUDGET = 10**8
 # int64 safety: evaluation reduces mod p^m, so products stay below (p^m)^2.
 _VECTOR_MODULUS_CAP = 2**31
+# Digit-pair candidates per array pass (128 KB per int64 array).
+_PAIR_BLOCK = 2**14
 
 
 class BudgetError(RuntimeError):
@@ -109,36 +113,28 @@ def _check_vector_safe(q: int) -> None:
         )
 
 
-def _eval_vec(f: BiPoly, xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
-    """f(xs, ys) mod q, elementwise; exact because products fit in int64."""
-    acc = np.zeros_like(xs)
-    powers_x: dict[int, np.ndarray] = {}
-    powers_y: dict[int, np.ndarray] = {}
+def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
+    """Digit-pair lifts of the classes (xs, ys) mod p^k where all `polys` vanish.
 
-    def power(base: np.ndarray, k: int, cache: dict[int, np.ndarray]) -> np.ndarray:
-        if k == 0:
-            return None  # caller multiplies by nothing
-        got = cache.get(k)
-        if got is not None:
-            return got
-        if k == 1:
-            out = base % q
-        else:
-            half = power(base, k // 2, cache)
-            out = half * half % q
-            if k & 1:
-                out = out * (base % q) % q
-        cache[k] = out
-        return out
-
-    for (i, j), c in f.terms.items():
-        term = np.full_like(xs, c % q)
-        if i:
-            term = term * power(xs, i, powers_x) % q
-        if j:
-            term = term * power(ys, j, powers_y) % q
-        acc = (acc + term) % q
-    return acc
+    Returns every (x + p^k a, y + p^k b) at which each polynomial is 0 mod
+    p^(k+1), ordered by class, then a, then b.  The arithmetic runs in the dtype of xs: int64 needs p^(k+1) <= 2^31,
+    object arrays of Python ints are exact at any level.  Candidates are
+    tested in blocks, so memory stays bounded at any p and class count.
+    """
+    q, q1 = p**k, p ** (k + 1)
+    found_x, found_y = [xs[:0]], [ys[:0]]
+    total = len(xs) * p * p
+    for start in range(0, total, _PAIR_BLOCK):
+        t = np.arange(start, min(start + _PAIR_BLOCK, total))
+        cls = t // (p * p)
+        cx = xs[cls] + q * (t // p % p).astype(xs.dtype)
+        cy = ys[cls] + q * (t % p).astype(xs.dtype)
+        for g in polys:
+            hit = g.horner(cx, cy, q1) == 0
+            cx, cy = cx[hit], cy[hit]
+        found_x.append(cx)
+        found_y.append(cy)
+    return np.concatenate(found_x), np.concatenate(found_y)
 
 
 def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
@@ -156,7 +152,7 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
         xs = np.arange(x0, min(x0 + chunk, q), dtype=np.int64)
         grid_x = np.repeat(xs, q)
         grid_y = np.tile(ys, len(xs))
-        vals = _eval_vec(f, grid_x, grid_y, q)
+        vals = f.horner(grid_x, grid_y, q)
         hit = vals == 0
         found_x.append(grid_x[hit])
         found_y.append(grid_y[hit])
@@ -182,14 +178,14 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     grid = np.arange(p, dtype=np.int64)
     gx = np.repeat(grid, p)
     gy = np.tile(grid, p)
-    hit = _eval_vec(f, gx, gy, p) == 0
+    hit = f.horner(gx, gy, p) == 0
     xs, ys = gx[hit], gy[hit]
     yield PointSet(p, 1, xs, ys)
 
     # A point keeps its residue (x0, y0) mod p as it lifts, so its partials
     # mod p are read from tables over the level-1 grid, indexed x0*p + y0.
-    fx_tab = _eval_vec(f.partial("x"), gx, gy, p)
-    fy_tab = _eval_vec(f.partial("y"), gx, gy, p)
+    fx_tab = f.partial("x").horner(gx, gy, p)
+    fy_tab = f.partial("y").horner(gx, gy, p)
     inv_table = np.array(
         [0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64
     )
@@ -211,15 +207,11 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
             n = int(sel.sum())
             cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
             cand[1 - solved] += q * np.repeat(digits, n)
-            resid = _eval_vec(f, cand[0], cand[1], q1) // q
+            resid = f.horner(cand[0], cand[1], q1) // q
             cand[solved] += q * (-resid * np.tile(inv_table[partial[sel]], p) % p)
             parts.append(cand)
 
-        n = int(singular.sum())
-        cand = np.tile(np.stack([xs[singular], ys[singular]]), p * p)
-        cand[0] += q * np.repeat(digits, p * n)
-        cand[1] += q * np.tile(np.repeat(digits, n), p)
-        parts.append(cand[:, _eval_vec(f, cand[0], cand[1], q1) == 0])
+        parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
 
         xs, ys = np.concatenate(parts, axis=1)
         yield PointSet(p, k + 1, xs, ys)

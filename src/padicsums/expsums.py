@@ -23,7 +23,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .counting import PointSet, _check_vector_safe, _eval_vec, lift_levels
+from .counting import PointSet, _check_vector_safe, lift_levels
 from .padic import is_prime
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
@@ -126,7 +126,7 @@ def _sig15(x: float) -> float:
 
 def _phase_values(g: BiPoly, xs: np.ndarray, ys: np.ndarray, phase: PhaseSpec) -> np.ndarray:
     q = phase.denominator
-    gv = _eval_vec(g, xs, ys, q)
+    gv = g.horner(xs, ys, q)
     return (gv * (phase.u % q)) % q
 
 

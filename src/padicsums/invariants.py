@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .counting import BudgetError, lift_points
+from .counting import _VECTOR_MODULUS_CAP, BudgetError, _extend_pairs, lift_points
 from .expsums import SumRecord
 from .padic import INFINITY, _int_valuation
 from .polynomials import BiPoly
@@ -335,20 +335,19 @@ class ExponentCertificate:
         }
 
 
-_big_level = 10**6  # stands for "at least the class level" in bound terms
-
-
 def _pinned_valuation(c: int, p: int) -> int | None:
     """v(x) for every lift of a class representative, or None if unpinned."""
     return None if c == 0 else _int_valuation(c, p)
 
 
-def _monomial_refutes(jac: BiPoly, x0: int, y0: int, p: int) -> bool:
-    """True when one monomial of jac dominates on the whole class.
+def _monomial_refutes(jac: BiPoly, x0: int, y0: int, p: int, k: int) -> bool:
+    """True when one monomial of jac dominates on the whole class mod p^k.
 
     With v(x) and v(y) pinned by nonzero representatives, each monomial has
     an exact valuation on every lift; a unique minimum forces
-    v(jac) = min < infinity there, so no lift can be a critical point.
+    v(jac) = min < infinity there, so no lift can be a critical point.  A
+    zero representative only bounds its coordinate's valuation below, by
+    the class level k.
     """
     vx = _pinned_valuation(x0, p)
     vy = _pinned_valuation(y0, p)
@@ -358,8 +357,8 @@ def _monomial_refutes(jac: BiPoly, x0: int, y0: int, p: int) -> bool:
         vc = _int_valuation(c, p)
         known_x = i == 0 or vx is not None
         known_y = j == 0 or vy is not None
-        vx_term = 0 if i == 0 else i * (vx if vx is not None else _big_level)
-        vy_term = 0 if j == 0 else j * (vy if vy is not None else _big_level)
+        vx_term = 0 if i == 0 else i * (vx if vx is not None else k)
+        vy_term = 0 if j == 0 else j * (vy if vy is not None else k)
         total = vc + vx_term + vy_term
         if known_x and known_y:
             exact.append(total)
@@ -451,16 +450,12 @@ def _extend_classes(
             f"critical-locus search needs {len(classes) * p * p} tests at "
             f"level {k + 1}, budget is {budget}"
         )
-    q, q1 = p**k, p ** (k + 1)
-    out = []
-    for x, y in classes:
-        for a in range(p):
-            xa = x + q * a
-            for b in range(p):
-                yb = y + q * b
-                if all(g.evaluate(xa, yb, q1) == 0 for g in polys):
-                    out.append((xa, yb))
-    return out
+    # int64 while every product fits, exact Python ints above that
+    dtype = np.int64 if p ** (k + 1) <= _VECTOR_MODULUS_CAP else object
+    xs = np.array([x for x, _ in classes], dtype=dtype)
+    ys = np.array([y for _, y in classes], dtype=dtype)
+    cx, cy = _extend_pairs(polys, xs, ys, p, k)
+    return list(zip(cx.tolist(), cy.tolist()))
 
 
 def contact_exponent(
@@ -492,18 +487,16 @@ def contact_exponent(
             "the weight is constant along every branch of the curve"
         )
 
-    curve_mod_p = [
-        (x, y) for x in range(p) for y in range(p) if f.evaluate(x, y, p) == 0
-    ]
+    # Level 1 extends the one class mod p^0; the budget caps deeper levels.
+    origin = [(0, 0)]
+    curve_mod_p = _extend_classes((f,), origin, p, 0, math.inf)
     notes: list[str] = []
     if not curve_mod_p:
         return ExponentCertificate(
             1, (), depth, "certified", ("curve has no points mod p",)
         )
 
-    frontier = [
-        (x, y) for (x, y) in curve_mod_p if jac.evaluate(x, y, p) == 0
-    ]
+    frontier = _extend_classes((f, jac), origin, p, 0, math.inf)
     all_critical_mod_p = len(frontier) == len(curve_mod_p)
 
     witnesses: list[Witness] = []
@@ -545,7 +538,7 @@ def contact_exponent(
         """Split classes into (still open, resolved count)."""
         open_classes = []
         for x0, y0 in classes:
-            if _monomial_refutes(jac, x0, y0, p):
+            if _monomial_refutes(jac, x0, y0, p, k):
                 continue
             refined = _newton_certify(
                 f, jac, x0, y0, p, k, _NEWTON_WITNESS_LEVEL

@@ -4,6 +4,17 @@ Coefficients are arbitrary-precision integers, so one polynomial object can
 be reused across primes and precisions; reduction mod p^n happens only at
 evaluation time.  The canonical string form (graded-lex term order, explicit
 '*' and '^') round-trips through the parser.
+
+Two evaluators, split by operand type.  `BiPoly.evaluate` takes Python ints
+and sums the terms with three-argument `pow`.  `BiPoly.horner` takes
+anything with `+`, `*` (and `%` when reducing): numpy arrays of points and
+truncated power series along a branch.  On Python ints Horner is the slower
+of the two: 3.3-8.3 us per call against 0.65-1.25 us for the term sum, on
+three critical-locus search curves and their Jacobians mod 5^7 (2-core host,
+Python 3.11).  On arrays it is the faster one: each step is one
+whole-array multiply-add, where a term sum builds a power array per
+monomial; brute_points(y^2 - x^3 + x, p=3, m=6) takes 55-65 % of the time
+it took with per-monomial arrays.
 """
 
 from __future__ import annotations
@@ -31,9 +42,13 @@ class PolySyntaxError(ValueError):
 
 
 class BiPoly:
-    """Polynomial in x, y over Z, stored as a map (deg_x, deg_y) -> coeff."""
+    """Polynomial in x, y over Z, stored as a map (deg_x, deg_y) -> coeff.
 
-    __slots__ = ("terms",)
+    Nothing assigns or mutates `terms` after __init__, so each partial
+    derivative is computed once and kept on the instance.
+    """
+
+    __slots__ = ("terms", "_partials")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -44,6 +59,7 @@ class BiPoly:
             if c:
                 clean[(int(i), int(j))] = c
         self.terms = clean
+        self._partials: dict[str, BiPoly] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -168,18 +184,21 @@ class BiPoly:
     # -- calculus and substitution ------------------------------------------
 
     def partial(self, var: str) -> "BiPoly":
-        out: dict[tuple[int, int], int] = {}
-        for (i, j), c in self.terms.items():
-            if var == "x" and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), 0) + c * i
-            elif var == "y" and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), 0) + c * j
         if var not in ("x", "y"):
             raise ValueError(f"unknown variable {var!r}")
-        return BiPoly(out)
+        got = self._partials.get(var)
+        if got is None:
+            out: dict[tuple[int, int], int] = {}
+            for (i, j), c in self.terms.items():
+                if var == "x" and i > 0:
+                    out[(i - 1, j)] = out.get((i - 1, j), 0) + c * i
+                elif var == "y" and j > 0:
+                    out[(i, j - 1)] = out.get((i, j - 1), 0) + c * j
+            got = self._partials[var] = BiPoly(out)
+        return got
 
     def evaluate(self, x: int, y: int, modulus: int | None = None) -> int:
-        """Exact integer value, optionally reduced mod `modulus`."""
+        """Exact integer value at Python ints, optionally reduced mod `modulus`."""
         total = 0
         if modulus is None:
             for (i, j), c in self.terms.items():
@@ -189,6 +208,45 @@ class BiPoly:
         for (i, j), c in self.terms.items():
             total = (total + c * pow(xm, i, modulus) * pow(ym, j, modulus)) % modulus
         return total
+
+    def horner(self, x, y, modulus: int | None = None):
+        """Value at non-scalar operands: Horner in y over Horner in x.
+
+        Uses only `+`, `*` and, when `modulus` is given, `%`, so x and y may
+        be numpy arrays of points (of one shape) or truncated series (of one
+        order cap).  The result has the operands' shape even for a constant
+        or zero polynomial.  With a modulus, x, y and every coefficient are
+        reduced first (coefficients may exceed int64); int64 arrays then stay
+        exact for modulus <= 2^31, since every product is below 2^62.
+        """
+        if modulus is not None:
+            x, y = x % modulus, y % modulus
+        rows: dict[int, dict[int, int]] = {}
+        for (i, j), c in self.terms.items():
+            rows.setdefault(j, {})[i] = c if modulus is None else c % modulus
+
+        def step(acc, var, c):
+            # acc * var + c; a zero Python-int acc or c costs no operand work,
+            # and the in-place updates act on the fresh product acc * var
+            if isinstance(acc, int) and acc == 0:
+                return c
+            acc = acc * var
+            if not (isinstance(c, int) and c == 0):
+                acc += c
+            if modulus is not None:
+                acc %= modulus
+            return acc
+
+        acc = 0
+        for j in range(max(rows, default=0), -1, -1):
+            row = rows.get(j, {})
+            inner = 0
+            for i in range(max(row, default=0), -1, -1):
+                inner = step(inner, x, row.get(i, 0))
+            acc = step(acc, y, inner)
+        if isinstance(acc, int):  # a constant: give it the operands' shape
+            acc = x * 0 + y * 0 + acc
+        return acc
 
     def shift(self, a: int, b: int) -> "BiPoly":
         """f(x + a, y + b), exact over Z."""
@@ -204,10 +262,6 @@ class BiPoly:
         return BiPoly(
             {(i, j): c * cx**i * cy**j for (i, j), c in self.terms.items()}
         )
-
-    def swap_vars(self) -> "BiPoly":
-        """f(y, x)."""
-        return BiPoly({(j, i): c for (i, j), c in self.terms.items()})
 
     def divide_exact(self, d: int) -> "BiPoly":
         """Coefficient-wise division; raises ValueError when not exact."""

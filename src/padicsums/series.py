@@ -30,7 +30,6 @@ __all__ = [
     "SeriesPrecisionError",
     "TruncSeries",
     "certify_point",
-    "eval_at_series",
     "hensel_param",
     "is_srp_poly",
     "is_srp_series",
@@ -326,62 +325,45 @@ class Parametrization:
         return x, y
 
     def compose_poly(self, g: BiPoly) -> TruncSeries:
-        """g(branch(t)) as a truncated series."""
-        return eval_at_series(g, self.x_series(), self.y_series())
+        """g(branch(t)) as a truncated series.
 
-    def residual(self, f: BiPoly) -> TruncSeries:
-        """f(branch(t)); zero series exactly when the parametrization is valid."""
-        return eval_at_series(f, self.x_series(), self.y_series())
+        Called as `residual(f)` with the curve f, it is the zero series
+        exactly when the parametrization is valid.
+        """
+        return g.horner(self.x_series(), self.y_series())
+
+    residual = compose_poly
 
 
 def _t_identity(model: TruncSeries) -> TruncSeries:
     return TruncSeries.from_coeffs([0, 1], model.p, model.n, model.order_cap)
 
 
-def eval_at_series(f: BiPoly, sx: TruncSeries, sy: TruncSeries) -> TruncSeries:
-    """Evaluate a bivariate polynomial at a pair of series."""
-    top = min(sx.order_cap, sy.order_cap)
-    p, n = sx.p, sx.n
-    if (p, n) != (sy.p, sy.n):
-        raise ValueError("mixed series precisions")
-    # Horner in y with polynomial coefficients in x.
-    by_j: dict[int, dict[int, int]] = {}
-    for (i, j), c in f.terms.items():
-        by_j.setdefault(j, {})[i] = c
-    acc = TruncSeries.zeros(p, n, top)
-    for j in range(max(by_j, default=0), -1, -1):
-        acc = acc * sy
-        row = by_j.get(j)
-        if row:
-            inner = TruncSeries.zeros(p, n, top)
-            for i in range(max(row), -1, -1):
-                inner = inner * sx
-                if i in row:
-                    inner = inner + row[i]
-            acc = acc + inner
-    return acc
+def _refine_anchor(f: BiPoly, pt: CurvePoint, n: int, solve_for: str) -> CurvePoint:
+    """Lift the `solve_for` coordinate to a solution mod p^n by scalar Newton.
 
-
-def _refine_anchor(f: BiPoly, pt: CurvePoint, n: int) -> CurvePoint:
-    """Lift the y-coordinate to a solution mod p^n by scalar Newton steps.
-
-    Requires f_y to be a unit at the point; convergence is quadratic, so the
-    iteration cap is logarithmic in n.
+    Requires that partial of f to be a unit at the point; convergence is
+    quadratic, so the iteration cap is logarithmic in n.
     """
     p = pt.p
     mod = p**n
-    fy = f.partial("y")
+    deriv = f.partial(solve_for)
     x0, y0 = pt.x % mod, pt.y % mod
     for _ in range(max(1, math.ceil(math.log2(n)) + 2)):
         r = f.evaluate(x0, y0, mod)
         if r == 0:
             break
-        d = fy.evaluate(x0, y0, mod)
+        d = deriv.evaluate(x0, y0, mod)
         if d % p == 0:
             raise HenselPreconditionError(
-                "y-derivative is not a unit at the anchor", _int_valuation(d, p) if d else n
+                f"{solve_for}-derivative is not a unit at the anchor",
+                _int_valuation(d, p) if d else n,
             )
-        y0 = (y0 - r * pow(d, -1, mod)) % mod
+        step = r * pow(d, -1, mod)
+        if solve_for == "y":
+            y0 = (y0 - step) % mod
+        else:
+            x0 = (x0 - step) % mod
     else:
         raise RuntimeError("anchor refinement failed to converge (unreachable)")
     return CurvePoint(x0, y0, p, n, exact=(f.evaluate(x0, y0) == 0))
@@ -419,72 +401,35 @@ def hensel_param(
             min(vx, vy),
         )
 
-    if solve_for == "x":
-        swapped = hensel_param(
-            f.swap_vars(),
-            CurvePoint(point.y, point.x, point.p, point.level, point.exact),
-            order=order,
-            precision=precision,
-            solve_for="y",
-        )
-        anchor = CurvePoint(
-            swapped.anchor.y,
-            swapped.anchor.x,
-            point.p,
-            swapped.anchor.level,
-            swapped.anchor.exact,
-        )
-        param = Parametrization(anchor, swapped.series, "x")
-        _assert_residual(f, param)
-        return param
-
     p, n = point.p, precision
-    anchor = _refine_anchor(f, point, n)
+    anchor = _refine_anchor(f, point, n, solve_for)
     mod = p**n
-    fy = f.partial("y")
+    f_solved = f.partial(solve_for)
+    f_free = f.partial("x" if solve_for == "y" else "y")
 
-    # Seed: first-order solution h = -(f_x/f_y)(anchor) * t.
-    fx0 = f.partial("x").evaluate(anchor.x, anchor.y, mod)
-    fy0 = fy.evaluate(anchor.x, anchor.y, mod)
-    slope = (-fx0 * pow(fy0, -1, mod)) % mod
+    # Seed: first-order solution h = -(f_free/f_solved)(anchor) * t.
+    free0 = f_free.evaluate(anchor.x, anchor.y, mod)
+    solved0 = f_solved.evaluate(anchor.x, anchor.y, mod)
+    slope = (-free0 * pow(solved0, -1, mod)) % mod
     h = TruncSeries.from_coeffs([0, slope], p, n)
 
     cur = 1
     steps = 0
     while True:
-        residual_now = _branch_residual(f, anchor, h)
-        if cur == order and all(c == 0 for c in residual_now.coeffs):
+        param = Parametrization(anchor, h, solve_for)
+        # returns only once the recomputed residual vanishes at the full order
+        if cur == order and all(c == 0 for c in param.residual(f).coeffs):
             break
         steps += 1
         if steps > math.ceil(math.log2(order + 1)) + 4:
             raise RuntimeError("series Newton failed to converge (unreachable)")
         cur = min(2 * cur, order)
-        h = h.padded(cur)
-        num = _branch_residual(f, anchor, h)
-        den = _branch_residual(fy, anchor, h)
-        h = h - num * den.inverse()
+        branch = Parametrization(anchor, h.padded(cur), solve_for)
+        h = branch.series - branch.residual(f) * branch.compose_poly(f_solved).inverse()
 
-    param = Parametrization(anchor, h, "y")
-    _assert_residual(f, param)
-    return param
-
-
-def _branch_residual(poly: BiPoly, anchor: CurvePoint, h: TruncSeries) -> TruncSeries:
-    """poly along the branch (anchor.x + t, anchor.y + h(t))."""
-    sx = _t_identity(h) + anchor.x
-    sy = h + anchor.y
-    return eval_at_series(poly, sx, sy)
-
-
-def _assert_residual(f: BiPoly, param: Parametrization) -> None:
-    res = param.residual(f)
-    if any(c != 0 for c in res.coeffs):
-        raise RuntimeError(
-            "internal error: parametrization residual is nonzero "
-            f"(first offending order {next(k for k, c in enumerate(res.coeffs) if c)})"
-        )
     if param.series.constant != 0:
         raise RuntimeError("internal error: parametrization does not fix the anchor")
+    return param
 
 
 # -- blow-up rescaling --------------------------------------------------------

@@ -189,6 +189,13 @@ def test_search_budget_reaches_contact_exponent(capsys, monkeypatch, argv):
     assert seen == [DEFAULT_SEARCH_BUDGET, 7]
 
 
+@pytest.mark.parametrize("flag", [("--budget", "1"), ("--onevar",)], ids=["budget", "onevar"])
+def test_param_rejects_options_it_does_not_read(capsys, flag):
+    code, _, err = run(capsys, "param", "--p", "5", "--f", "y - x^2", "--at", "0,0", *flag)
+    assert code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+
+
 def test_sum_brute_method_agrees_with_lift(capsys):
     args = ("--p", "3", "--m", "2", "--f", "y^2 - x^3", "--g", "x + y")
     _, out_lift, _ = run(capsys, "sum", *args, "--method", "lift")

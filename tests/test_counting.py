@@ -17,6 +17,7 @@ from padicsums.counting import (
     read_points,
     write_points,
 )
+from padicsums.counting import _PAIR_BLOCK, _extend_pairs
 from padicsums.invariants import _extend_classes
 from padicsums.polynomials import parse_poly
 
@@ -198,6 +199,26 @@ def test_system_tree_matches_direct_scan():
     for k in (1, 2):
         classes = _extend_classes([f, j], classes, 5, k, budget=200_000)
         assert sorted(classes) == direct(k + 1)
+
+
+def test_digit_pair_step_keeps_class_order_across_blocks():
+    # 2401 classes mod 7^2 give 117,649 candidates: several blocks.
+    f = parse_poly("y - x^2 + 3*x*y")
+    p, k = 7, 2
+    q, q1 = p**k, p ** (k + 1)
+    classes = [(x, y) for x in range(q) for y in range(q)]
+    xs = np.array([x for x, _ in classes], dtype=np.int64)
+    ys = np.array([y for _, y in classes], dtype=np.int64)
+    cx, cy = _extend_pairs((f,), xs, ys, p, k)
+    want = [
+        (x + q * a, y + q * b)
+        for x, y in classes
+        for a in range(p)
+        for b in range(p)
+        if f.evaluate(x + q * a, y + q * b, q1) == 0
+    ]
+    assert len(classes) * p * p > 4 * _PAIR_BLOCK
+    assert list(zip(cx.tolist(), cy.tolist())) == want
 
 
 def test_system_tree_budget():

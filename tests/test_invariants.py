@@ -190,6 +190,29 @@ def test_exponent_with_offcenter_rational_critical_point():
     assert slope_of_valuations(vals) == pytest.approx(2.0)
 
 
+def test_exponent_with_critical_point_in_the_zero_class():
+    # The parabola translated by x -> x - 3 with weight x + y - 3: the
+    # critical point x = 5/2 lies in the class x = 0 mod 5, whose unpinned
+    # v(x) is bounded by the class level, so the class is not refuted.
+    cert = contact_exponent(
+        parse_poly("y - x^2 + 6*x - 9"), parse_poly("x + y - 3"), 5
+    )
+    assert cert.exponent == 2
+    assert cert.confidence == "certified"
+    (w,) = cert.witnesses
+    assert w.certified_by == "hensel-unique"
+    assert (2 * w.x - 5) % 5**10 == 0
+
+
+def test_exponent_search_past_the_int64_modulus():
+    # The search reaches level 6, and 37^6 > 2^31: exact Python-int classes.
+    assert 37**6 > 2**31
+    cert = contact_exponent(parse_poly("y - x^2"), parse_poly("x^3"), 37)
+    assert cert.exponent == 3
+    assert cert.confidence == "certified"
+    assert cert.witnesses[0].level == 6
+
+
 def test_exponent_invariant_under_unimodular_shear():
     # (x, y) -> (x + y, y) is a bijection of Z_p^2, so the exponent of the
     # transformed pair must match

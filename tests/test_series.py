@@ -17,7 +17,6 @@ from padicsums.series import (
     SeriesPrecisionError,
     TruncSeries,
     certify_point,
-    eval_at_series,
     hensel_param,
     is_srp_poly,
     is_srp_series,
@@ -312,6 +311,19 @@ def test_solve_for_explicit_x():
     assert param.series.coeffs[1:4] == (1, mod - 1, 1)
 
 
+def test_solve_for_x_matches_the_swapped_curve_solved_for_y():
+    # (0, 2) lies on f only mod 5, so the anchor refinement moves x too.
+    f = parse_poly("x + 2*x^2*y - y^3 + 3")
+    swapped = parse_poly("y + 2*y^2*x - x^3 + 3")
+    by_x = hensel_param(f, certify_point(f, 0, 2, 5, 1), order=9, precision=12, solve_for="x")
+    by_y = hensel_param(
+        swapped, certify_point(swapped, 2, 0, 5, 1), order=9, precision=12, solve_for="y"
+    )
+    assert by_x.series == by_y.series
+    assert (by_x.anchor.x, by_x.anchor.y) == (by_y.anchor.y, by_y.anchor.x)
+    assert by_x.anchor.x != 0
+
+
 def test_no_unit_partial_raises():
     f = parse_poly("y^2 - x^3")
     pt = certify_point(f, 0, 0, 5, 2)
@@ -345,7 +357,7 @@ def test_eval_at_series_matches_pointwise():
     p, n = 7, 8
     sx = TruncSeries.from_coeffs([2, 1, 5], p, n, order=6)
     sy = TruncSeries.from_coeffs([1, 3, 0, 2], p, n, order=6)
-    out = eval_at_series(f, sx, sy)
+    out = f.horner(sx, sy)
     q = p**n
     for t0 in (0, 1, 4, 7):
         expect = f.evaluate(sx.evaluate(t0), sy.evaluate(t0)) % q
@@ -361,7 +373,7 @@ def test_eval_at_series_low_orders_certified_by_derivatives():
     p, n = 5, 10
     sx = TruncSeries.from_coeffs([1, 2, 3], p, n, order=4)
     sy = TruncSeries.from_coeffs([2, 1, 1], p, n, order=4)
-    out = eval_at_series(f, sx, sy)
+    out = f.horner(sx, sy)
     q = p**n
     # f(1,2) = 6; d/dt = fx*sx' + fy*sy' = y*2 + (x+2y)*1 at t=0 -> 4+5=9
     assert out.coeffs[0] == 6 % q
