@@ -14,15 +14,15 @@ byte-identical files.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 usage, parse, or budget errors; 3 weight constant on the curve;
-4 precision exhausted (inconclusive).
+4 inconclusive (precision exhausted, or f may have a repeated factor).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-from typing import IO
 
 from .counting import BRUTE_BUDGET, BudgetError, brute_points, lift_points, write_points
 from .expsums import (
@@ -124,22 +124,9 @@ def _resolved_config(args, keys) -> dict:
     return out
 
 
-class _Output:
+def _output(path: str | None):
     """Write to --out or stdout; a context manager either way."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.fh: IO[str] | None = None
-
-    def __enter__(self) -> IO[str]:
-        if self.path:
-            self.fh = open(self.path, "w", encoding="utf-8")
-            return self.fh
-        return sys.stdout
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def _single_level(args) -> int:
@@ -163,13 +150,13 @@ def cmd_points(args) -> int:
         raise ValueError(f"unknown method {method!r}")
     config = _resolved_config(args, ("p", "m", "f", "method", "budget"))
     config["method"] = method
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         write_points(ps, f, fh, extra_header={"config": json.dumps(config, sort_keys=True)})
     return EXIT_OK
 
 
 def _emit_records(records, args, config) -> None:
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         if args.format == "csv":
             write_records_csv(records, fh, config)
         else:
@@ -227,7 +214,7 @@ def cmd_verify(args) -> int:
         args, ("p", "m", "u", "f", "g", "onevar", "depth", "tolerance", "format")
     )
     config["exponent_confidence"] = cert.confidence
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         if args.format == "csv":
             write_decay_csv(report, fh, config)
         else:
@@ -244,7 +231,7 @@ def cmd_sigma(args) -> int:
         cert = contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget)
     config = _resolved_config(args, ("p", "f", "g", "onevar", "depth"))
     payload = {"config": config, "certificate": cert.to_json_dict()}
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK
@@ -279,7 +266,7 @@ def cmd_param(args) -> int:
         phase = PhaseSpec(args.p, _single_level(args), args.u)
         record = sum_parametric(param, g, args.l, phase)
         payload["sum"] = record.to_json_dict()
-    with _Output(args.out) as fh:
+    with _output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return EXIT_OK

@@ -106,6 +106,11 @@ class PointSet:
         return PointSet(self.p, m_low, keys // q, keys % q)
 
 
+def _int_dtype(modulus: int):
+    """int64 when arithmetic mod `modulus` fits in it, else exact Python ints."""
+    return np.int64 if modulus <= _VECTOR_MODULUS_CAP else object
+
+
 def _check_vector_safe(q: int) -> None:
     if q > _VECTOR_MODULUS_CAP:
         raise BudgetError(
@@ -237,17 +242,6 @@ class CountReport:
     density: Fraction
     stabilized: bool
     stable_from: int | None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": list(self.m_values),
-            "counts": list(self.counts),
-            "ratios": [str(r) for r in self.ratios],
-            "density": str(self.density),
-            "stabilized": self.stabilized,
-            "stable_from": self.stable_from,
-        }
 
 
 def count_report(f: BiPoly, p: int, m_max: int) -> CountReport:

@@ -5,12 +5,13 @@ z = u / p^m (gcd(u, p) = 1, m >= 1) is
 
     S_m = sum over (x, y) in Y_m of exp(2*pi*i * u*g(x,y) / p^m),
 
-with Y_m the solution set mod p^m.  Phases are reduced mod p^m in integer
-arithmetic before any float conversion.  Every sum (curve, one-variable and
-branch-restricted) then goes through one kernel, `_char_sum`, which adds the
-terms with np.add.reduce in the given point order: that reduction is
-pairwise, so results are deterministic and the rounding error stays
-logarithmic in the term count.
+with Y_m the solution set mod p^m.  Every sum (curve, one-variable and
+branch-restricted) builds arrays of points, takes their phases with
+`_phase_values` (`BiPoly.horner` mod p^m, in integer arithmetic before any
+float conversion) and adds the characters with one kernel, `_char_sum`.
+That kernel adds the terms with np.add.reduce in the given point order:
+the reduction is pairwise, so results are deterministic and the rounding
+error stays logarithmic in the term count.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .counting import PointSet, _check_vector_safe, lift_levels
+from .counting import PointSet, _check_vector_safe, _int_dtype, lift_levels
 from .padic import is_prime
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
@@ -217,15 +218,13 @@ def sum_parametric(
         )
 
     q = phase.denominator
-    u = phase.u % q
-    step = param.p**l
-    count = q // step
-    # Exact Python-int phases, so no int64 cap on q; float64 holds them exactly
-    # for q < 2^53.
-    phases = [
-        u * g.evaluate(*param.point_at(step * s, q), q) % q for s in range(count)
-    ]
-    value = _char_sum(np.array(phases, dtype=np.float64), q)
+    count = q // param.p**l
+    # int64 up to the cap, exact Python ints above it; float64 holds every
+    # phase exactly while q < 2^53.
+    ts = np.arange(count, dtype=_int_dtype(q)) * param.p**l
+    xs, ys = param.point_at(ts, q)
+    phases = _phase_values(g, xs, ys, phase).astype(np.float64)
+    value = _char_sum(phases, q)
     return SumRecord(
         p=phase.p,
         m=phase.m,

@@ -28,7 +28,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .counting import _VECTOR_MODULUS_CAP, BudgetError, _extend_pairs, lift_points
+from .counting import BudgetError, _extend_pairs, _int_dtype, lift_points
 from .expsums import SumRecord
 from .padic import INFINITY, _int_valuation
 from .polynomials import BiPoly
@@ -104,7 +104,7 @@ def point_depth(f: BiPoly, pt: CurvePoint) -> DepthBound:
     """
     vx, vy = _partial_vals_at(f, pt)
     v = min(vx, vy)
-    if v is INFINITY:
+    if v == INFINITY:
         # exact point with both partials literally zero: singular over Z
         return DepthBound(pt.level, False, pt.level)
     if pt.exact:
@@ -450,8 +450,7 @@ def _extend_classes(
             f"critical-locus search needs {len(classes) * p * p} tests at "
             f"level {k + 1}, budget is {budget}"
         )
-    # int64 while every product fits, exact Python ints above that
-    dtype = np.int64 if p ** (k + 1) <= _VECTOR_MODULUS_CAP else object
+    dtype = _int_dtype(p ** (k + 1))
     xs = np.array([x for x, _ in classes], dtype=dtype)
     ys = np.array([y for _, y in classes], dtype=dtype)
     cx, cy = _extend_pairs(polys, xs, ys, p, k)
@@ -475,9 +474,13 @@ def contact_exponent(
     J = f_x g_y - f_y g_x vanish.  During the search a class is certified as
     soon as a unique critical point lifts in it (2-variable Hensel), refuted
     when a dominant Jacobian monomial pins v(J) finite on the whole class,
-    and at full depth small exact solutions are recognized directly.  Points
-    of the curve away from the critical locus contribute order 1.
+    and at full depth small exact solutions are recognized directly.  Classes
+    still open at `depth` (which must be >= 1) get up to `depth` more levels,
+    since they may die out deeper.  Points of the curve away from the
+    critical locus contribute order 1.
     """
+    if depth < 1:
+        raise ValueError(f"search depth must be >= 1, got {depth}")
     if g.is_constant:
         raise WeightConstantError("weight polynomial is constant")
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
@@ -500,10 +503,10 @@ def contact_exponent(
     all_critical_mod_p = len(frontier) == len(curve_mod_p)
 
     witnesses: list[Witness] = []
-    attempted = inconclusive = 0
+    attempted = inconclusive = unparametrized = 0
 
     def measure(x: int, y: int, level: int, how: str) -> None:
-        nonlocal attempted, inconclusive
+        nonlocal attempted, inconclusive, unparametrized
         attempted += 1
         pt = certify_point(f, x, y, p, level)
         try:
@@ -515,8 +518,9 @@ def contact_exponent(
                 order_cap=order_cap,
                 precision_cap=precision_cap,
             )
-        except ContactInconclusiveError:
+        except ContactInconclusiveError as exc:
             inconclusive += 1
+            unparametrized += isinstance(exc.__cause__, HenselPreconditionError)
             notes.append(
                 f"contact order at ({x % p**min(level, 4)}, {y % p**min(level, 4)}) "
                 f"mod p^{min(level, 4)} undecided at the precision caps"
@@ -554,24 +558,25 @@ def contact_exponent(
             open_classes.append((x0, y0))
         return open_classes
 
+    k = 1
     try:
-        k = 1
-        frontier = resolve(frontier, k, final=(depth == 1))
-        while k < depth and frontier:
+        while True:
+            frontier = resolve(frontier, k, final=k >= depth)
+            if not frontier or k == 2 * depth:
+                break
             frontier = _extend_classes((f, jac), frontier, p, k, budget)
             k += 1
-            frontier = resolve(frontier, k, final=(k == depth))
-        # refutation sweep: unresolved classes may die out a few levels deeper
-        sweep = 0
-        while frontier and sweep < depth:
-            frontier = _extend_classes((f, jac), frontier, p, k, budget)
-            k += 1
-            sweep += 1
-            frontier = resolve(frontier, k, final=True)
     except BudgetError as exc:
         notes.append(str(exc))
 
     if all_critical_mod_p and attempted > 0 and attempted == inconclusive:
+        if unparametrized:
+            raise ContactInconclusiveError(
+                "every point of the curve mod p is critical and no branch shows the "
+                "weight moving, but some branches could not be parametrized: f may "
+                "have a repeated factor, or a singular point on the critical locus",
+                [f"{unparametrized} of {attempted} contact attempt(s) found no branch"],
+            )
         raise WeightConstantError(
             "every point of the curve mod p is critical and no branch shows "
             "the weight moving: the weight is constant on the curve"

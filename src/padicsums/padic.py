@@ -1,10 +1,12 @@
 """p-adic valuations, primality, and the additive character.
 
 Valuations are computed by exact integer division, with INFINITY as the
-valuation of zero.  The standard additive character exp(2*pi*i*{z}) is the
-scalar reference for the vectorized character sums: it only touches
-floating point after its phase has been reduced mod p^m exactly, so two
-phases that agree mod p^m produce bit-identical complex values.
+valuation of zero.  INFINITY is `math.inf`: it compares above every integer
+and is only compared or taken the min of, never subtracted.  The standard
+additive character exp(2*pi*i*{z}) is the scalar reference for the
+vectorized character sums: it only touches floating point after its phase
+has been reduced mod p^m exactly, so two phases that agree mod p^m produce
+bit-identical complex values.
 """
 
 from __future__ import annotations
@@ -20,53 +22,7 @@ __all__ = [
     "valuation",
 ]
 
-
-class _PlusInfinity:
-    """Valuation of zero: compares above every integer, absorbs addition."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("padic-plus-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other is self:
-            raise ArithmeticError("infinity - infinity is undefined")
-        return self
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinite valuation does not occur for integers")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _PlusInfinity()
+INFINITY = math.inf
 
 # Deterministic Miller-Rabin witness set, valid for every n < 3.3 * 10^24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -170,11 +170,6 @@ class BiPoly:
             return -1
         return min(i + j for i, j in self.terms)
 
-    def lowest_form(self) -> "BiPoly":
-        """Homogeneous part of least total degree."""
-        d = self.low_degree()
-        return BiPoly({k: c for k, c in self.terms.items() if k[0] + k[1] == d})
-
     def coefficient(self, i: int, j: int) -> int:
         return self.terms.get((i, j), 0)
 

@@ -79,10 +79,6 @@ class TruncSeries:
             coeffs = (coeffs + [0] * (order + 1))[: order + 1]
         return cls(tuple(coeffs), p, n)
 
-    @classmethod
-    def zeros(cls, p: int, n: int, order: int):
-        return cls(tuple([0] * (order + 1)), p, n)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -173,14 +169,6 @@ class TruncSeries:
             inv = inv.padded(order)
             inv = inv * (2 - (self.truncated(order) * inv))
         return inv.padded(top)
-
-    def evaluate(self, t0: int) -> int:
-        """Horner evaluation at an integer, mod p^n."""
-        mod = self.modulus
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * t0 + c) % mod
-        return acc
 
     def __str__(self):
         return (
@@ -313,13 +301,25 @@ class Parametrization:
         base = self.series if self.solve_for == "y" else t
         return base + self.anchor.y
 
-    def point_at(self, t0: int, modulus: int | None = None) -> tuple[int, int]:
-        """Integer coordinates of branch(t0), reduced mod `modulus` if given."""
-        h = self.series.evaluate(t0)
+    def point_at(self, t0, modulus: int | None = None):
+        """Coordinates of branch(t0) for an integer or an integer array t0.
+
+        h(t0) is evaluated with `BiPoly.horner` mod `modulus`, or mod p^n
+        when no modulus is given (the coordinates are then not reduced).  h
+        is only known mod p^n, so a modulus that does not divide p^n raises
+        ValueError.  An int64 array t0 needs modulus <= 2^31.
+        """
+        if modulus is not None and self.series.modulus % modulus:
+            raise ValueError(f"modulus {modulus} does not divide p^n = {self.series.modulus}")
+        h_poly = BiPoly({(k, 0): c for k, c in enumerate(self.series.coeffs)})
+        h = h_poly.horner(t0, 0, modulus or self.series.modulus)
+        x, y = self.anchor.x, self.anchor.y
+        if modulus is not None:  # so an int64 t0 never meets a large anchor
+            x, y = x % modulus, y % modulus
         if self.solve_for == "y":
-            x, y = self.anchor.x + t0, self.anchor.y + h
+            x, y = x + t0, y + h
         else:
-            x, y = self.anchor.x + h, self.anchor.y + t0
+            x, y = x + h, y + t0
         if modulus is not None:
             x, y = x % modulus, y % modulus
         return x, y

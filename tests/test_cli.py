@@ -71,6 +71,22 @@ def test_weight_constant_exits_three(capsys):
     assert "constant" in err
 
 
+def test_repeated_factor_exits_four(capsys):
+    code, _, err = run(capsys, "sigma", "--p", "5", "--f", "y^2 - 2*x^2*y + x^4", "--g", "x")
+    assert code == 4
+    assert "may have a repeated factor" in err
+
+
+@pytest.mark.parametrize("command", [("sigma",), ("verify", "--m", "2..3")], ids=["sigma", "verify"])
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_search_depth_below_one_exits_two(capsys, command, depth):
+    code, out, err = run(
+        capsys, *command, "--p", "5", "--f", "y^2 - x^3", "--g", "y", "--depth", depth
+    )
+    assert (code, out) == (2, "")
+    assert f"search depth must be >= 1, got {depth}" in err
+
+
 def test_precision_exhaustion_exits_four(capsys):
     code, _, err = run(
         capsys,

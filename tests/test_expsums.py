@@ -25,6 +25,7 @@ from padicsums.expsums import (
     write_records_json,
 )
 from padicsums.counting import brute_points, lift_points
+from padicsums.padic import additive_char
 from padicsums.polynomials import parse_poly, parse_univariate
 from padicsums.series import SeriesPrecisionError, certify_point, hensel_param
 
@@ -204,6 +205,44 @@ def test_parametric_exact_phases_above_int64_wall():
     rec = sum_parametric(param, g, l, PhaseSpec(p, m, 1))
     assert rec.point_count == 2**17
     assert rec.value == pytest.approx(2**16 * (1 + 1j), abs=1e-6)
+
+
+def scalar_parametric_sum(param, g, l, phase):
+    """Reference loop: one point_at, evaluate and additive_char per t."""
+    p, m, q = phase.p, phase.m, phase.denominator
+    return sum(
+        additive_char(phase.u * g.evaluate(*param.point_at(t, q), q) % q, m, p)
+        for t in range(0, q, p**l)
+    )
+
+
+@pytest.mark.parametrize("l", [0, 1, 7])
+@pytest.mark.parametrize(
+    "curve,solve_for", [("y + 5*x^2 + 5*x*y", "y"), ("x + 5*y^2 + 5*x*y + 125*y^3", "x")]
+)
+def test_parametric_sum_matches_the_scalar_loop_on_int64(curve, solve_for, l):
+    # restricted-shape branches, so the tail rule admits l = 0 at T = 8
+    p, m = 5, 7
+    f, g = parse_poly(curve), parse_poly("x + 3*y^2 + x*y - 2*x^3")
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=8, precision=m + 2)
+    assert param.solve_for == solve_for
+    phase = PhaseSpec(p, m, 3)
+    rec = sum_parametric(param, g, l, phase)
+    assert rec.point_count == p ** (m - l)
+    assert rec.value == pytest.approx(scalar_parametric_sum(param, g, l, phase), abs=1e-9)
+
+
+@pytest.mark.parametrize("curve,solve_for", [("y - x^2 - x", "y"), ("x - y^2 - 2*y", "x")])
+def test_parametric_sum_matches_the_scalar_loop_above_int64(curve, solve_for):
+    # q = 2^32 is past the int64 cap, so the points are Python ints
+    p, m, l = 2, 32, 20
+    f, g = parse_poly(curve), parse_poly("x + 3*y^2 + x*y - 2*x^3")
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=4, precision=m)
+    assert param.solve_for == solve_for
+    phase = PhaseSpec(p, m, 3)
+    rec = sum_parametric(param, g, l, phase)
+    assert rec.point_count == 2**12
+    assert rec.value == pytest.approx(scalar_parametric_sum(param, g, l, phase), abs=1e-9)
 
 
 def test_parametric_tail_guards():

@@ -256,6 +256,24 @@ def test_exponent_detects_weight_vanishing_on_curve():
         )
 
 
+@pytest.mark.parametrize(
+    "curve,weight,p",
+    [("y^2 - 2*x^2*y + x^4", "x", 5), ("y^2 - x^3", "y", 3)],
+    ids=["repeated-factor", "cusp"],
+)
+def test_exponent_without_a_parametrizable_branch_is_inconclusive(curve, weight, p):
+    # Every critical point found is singular, so no contact order is measured;
+    # the weight moves along both curves, so "weight constant" would be wrong.
+    with pytest.raises(ContactInconclusiveError, match="may have a repeated factor"):
+        contact_exponent(parse_poly(curve), parse_poly(weight), p)
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_exponent_rejects_a_search_depth_below_one(depth):
+    with pytest.raises(ValueError, match="search depth must be >= 1"):
+        contact_exponent(parse_poly("y^2 - x^3"), parse_poly("y"), 5, depth=depth)
+
+
 def test_exponent_on_empty_curve():
     cert = contact_exponent(parse_poly("x^2 + 3*y^2 + 3"), parse_poly("y"), 3)
     assert cert.exponent == 1

@@ -7,12 +7,14 @@ digit-by-digit undetermined-coefficients solver.
 
 import math
 
+import numpy as np
 import pytest
 
 from padicsums.polynomials import BiPoly, parse_poly
 from padicsums.series import (
     CurvePoint,
     HenselPreconditionError,
+    Parametrization,
     RescaleError,
     SeriesPrecisionError,
     TruncSeries,
@@ -124,11 +126,39 @@ def test_inverse_needs_unit_constant():
         s.inverse()
 
 
-def test_evaluate_is_horner_mod_q():
-    s = TruncSeries.from_coeffs([3, 1, 4, 1], 7, 5)
-    q = 7**5
+@pytest.mark.parametrize("solve_for", ["y", "x"])
+def test_point_at_is_horner_mod_q(solve_for):
+    p, n = 7, 5
+    q = p**n
+    series = TruncSeries.from_coeffs([0, 1, 4, 1], p, n)
+    param = Parametrization(CurvePoint(2, 3, p, n), series, solve_for)
     for t0 in (0, 1, -2, 7, 49, 123456):
-        assert s.evaluate(t0) == (3 + t0 + 4 * t0**2 + t0**3) % q
+        h = (t0 + 4 * t0**2 + t0**3) % q
+        point = (2 + t0, 3 + h) if solve_for == "y" else (2 + h, 3 + t0)
+        assert param.point_at(t0) == point
+        for modulus in (q, p**2):
+            assert param.point_at(t0, modulus) == (point[0] % modulus, point[1] % modulus)
+
+
+@pytest.mark.parametrize("solve_for", ["y", "x"])
+def test_point_at_on_an_int64_array_matches_each_element(solve_for):
+    # anchor and coefficients far past int64: both are reduced mod q first
+    p, n = 7, 40
+    series = TruncSeries.from_coeffs([0, 3, 10**30, -1, 5**40], p, n)
+    param = Parametrization(CurvePoint(10**30 + 2, -(10**25), p, n), series, solve_for)
+    q = p**11
+    ts = np.array([0, 1, 6, 49, 12345, q - 1, 7**10 * 3], dtype=np.int64)
+    xs, ys = param.point_at(ts, q)
+    assert xs.dtype == ys.dtype == np.int64
+    assert list(zip(xs.tolist(), ys.tolist())) == [param.point_at(int(t), q) for t in ts]
+
+
+def test_point_at_rejects_a_modulus_that_does_not_divide_p_to_the_n():
+    p, n = 5, 4
+    param = Parametrization(CurvePoint(0, 0, p, n), TruncSeries.from_coeffs([0, 1], p, n), "y")
+    for modulus in (10, 3, p ** (n + 1)):
+        with pytest.raises(ValueError, match="does not divide"):
+            param.point_at(2, modulus)
 
 
 # -- order detection -------------------------------------------------------------
@@ -140,7 +170,7 @@ def test_ord_t_basic():
     assert (got.order, got.leading_val) == (2, 1)
     assert got.confident
     assert ord_t(s, start=3).order == 3
-    assert ord_t(TruncSeries.zeros(3, 10, 5)) is None
+    assert ord_t(TruncSeries.from_coeffs([0] * 6, 3, 10)) is None
 
 
 def test_ord_t_confidence_threshold():
@@ -358,13 +388,8 @@ def test_eval_at_series_matches_pointwise():
     sx = TruncSeries.from_coeffs([2, 1, 5], p, n, order=6)
     sy = TruncSeries.from_coeffs([1, 3, 0, 2], p, n, order=6)
     out = f.horner(sx, sy)
-    q = p**n
-    for t0 in (0, 1, 4, 7):
-        expect = f.evaluate(sx.evaluate(t0), sy.evaluate(t0)) % q
-        # direct evaluation sees the tail the truncated series dropped,
-        # so compare only at t0 = 0 and 1 digit-wise via small t0 powers
-        if t0 == 0:
-            assert out.evaluate(t0) == expect
+    # the constant term is the value at t = 0, where no truncated tail reaches
+    assert out.constant == f.evaluate(sx.constant, sy.constant) % p**n
 
 
 def test_eval_at_series_low_orders_certified_by_derivatives():

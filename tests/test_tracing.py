@@ -1,11 +1,16 @@
-"""The benchmark's traced run hooks program functions and methods by name.
+"""The benchmark's cases and its traced run, on the program in src/.
 
-Renaming or deleting one of them breaks `perfbench/run.py --trace 1`; these
-tests load the program the way the benchmark does, install its tracer,
-call through it, and check that uninstalling restores every original.
+These tests load the program the way the benchmark does.  One runs every
+benchmark case and checks its answer against `perfbench/reference.json`,
+so a wrong answer shows in the test suite, not only in a benchmark run.
+The traced run hooks program functions and methods by name; renaming or
+deleting one of them breaks `perfbench/run.py --trace 1`, so another test
+installs the tracer, calls through it, and checks that uninstalling
+restores every original.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -50,3 +55,18 @@ def test_tracer_installs_and_uninstalls(monkeypatch):
         assert all(after[key] is value for key, value in before[name].items()), name
     for (mod, cls, meth), original in before_methods.items():
         assert vars(getattr(mods[mod], cls))[meth] is original
+
+
+def test_every_benchmark_case_matches_the_reference(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # load_program prepends src/
+    workloads = _load(monkeypatch, "workloads")
+    mods = workloads.load_program()
+    ref = json.loads((PERFBENCH / "reference.json").read_text())
+    failures = {}
+    for workload in workloads.WORKLOADS:
+        for seed in (None, 1):
+            for case in workloads.build_cases(workload, seed):
+                reason = workloads.check(case, case.run(mods), ref[case.id])
+                if reason is not None:
+                    failures[f"{workload} seed={seed}: {case.id}"] = reason
+    assert failures == {}
