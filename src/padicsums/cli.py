@@ -24,7 +24,14 @@ import contextlib
 import json
 import sys
 
-from .counting import BRUTE_BUDGET, BudgetError, brute_points, lift_points, write_points
+from .counting import (
+    BRUTE_BUDGET,
+    BudgetError,
+    brute_points,
+    lift_levels,
+    lift_points,
+    write_points,
+)
 from .expsums import (
     PhaseSpec,
     decay_records,
@@ -182,18 +189,25 @@ def cmd_sum(args) -> int:
     config = _resolved_config(
         args, ("p", "m", "u", "f", "g", "onevar", "method", "format", "sigma")
     )
+    if args.budget is not None and args.method != "brute":
+        raise ValueError("sum takes --budget only with --method brute, whose grid scan it caps")
     if args.onevar:
+        if args.method != "auto":
+            raise ValueError("sum --onevar takes no --method: it has no brute or lift route")
         f_one = _onevar_poly(args)
         records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in levels]
     else:
         f, g = _curve_and_weight(args)
-        if args.method == "brute":
-            records = [
-                sum_curve(f, g, PhaseSpec(args.p, m, args.u), brute_points(f, args.p, m, budget=args.budget))
-                for m in levels
-            ]
-        else:
+        if args.method == "auto":
             records = decay_records(f, g, args.p, levels, u=args.u)
+        else:
+            # The oracles: sum_curve over every point of each Y_m.
+            if args.method == "brute":
+                budget = BRUTE_BUDGET if args.budget is None else args.budget
+                point_sets = (brute_points(f, args.p, m, budget=budget) for m in levels)
+            else:
+                point_sets = (ps for ps in lift_levels(f, args.p, levels[-1]) if ps.m in levels)
+            records = [sum_curve(f, g, PhaseSpec(args.p, ps.m, args.u), ps) for ps in point_sets]
     if args.sigma:
         records = [r.with_normalization(args.sigma) for r in records]
     _emit_records(records, args, config)
@@ -280,17 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(
-        sp, *, budget=None, m=False, fg=False, onevar=False, method=False, depth=False,
+        sp, *, budget=False, m=False, fg=False, onevar=False, method=False, depth=False,
         fmt=False,
     ):
         sp.add_argument("--p", type=int, required=False, help="prime p")
         sp.add_argument("--config", help="key=value defaults file")
         sp.add_argument("--out", help="output file (default stdout)")
-        if budget is not None:
+        if budget:
             sp.add_argument(
                 "--budget",
                 type=int,
-                default=budget,
                 help="work cap: grid cells of the brute scan (points, sum --method brute) "
                 "or digit-pair tests per level of the critical-point search (verify, sigma)",
             )
@@ -316,25 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     sp = sub.add_parser("points", help="enumerate curve points mod p^m")
-    common(sp, budget=BRUTE_BUDGET, m=True, method=True)
+    common(sp, budget=True, m=True, method=True)
     sp.add_argument("--f", help="curve polynomial in x, y")
-    sp.set_defaults(func=cmd_points)
+    sp.set_defaults(func=cmd_points, budget=BRUTE_BUDGET)
 
     sp = sub.add_parser("sum", help="evaluate sums for levels m")
-    common(sp, budget=BRUTE_BUDGET, m=True, fg=True, onevar=True, method=True, fmt=True)
+    # no default: an explicit --budget is rejected unless --method brute
+    common(sp, budget=True, m=True, fg=True, onevar=True, method=True, fmt=True)
     sp.add_argument("--sigma", type=int, help="normalize magnitudes by p^(m(1-1/sigma))")
     sp.set_defaults(func=cmd_sum)
 
     sp = sub.add_parser("verify", help="fit |S_m| decay against the predicted exponent")
-    common(
-        sp, budget=DEFAULT_SEARCH_BUDGET, m=True, fg=True, onevar=True, depth=True, fmt=True
-    )
+    common(sp, budget=True, m=True, fg=True, onevar=True, depth=True, fmt=True)
     sp.add_argument("--tolerance", type=float, default=0.05, help="slope tolerance")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, budget=DEFAULT_SEARCH_BUDGET)
 
     sp = sub.add_parser("sigma", help="oscillation exponent certificate")
-    common(sp, budget=DEFAULT_SEARCH_BUDGET, fg=True, onevar=True, depth=True)
-    sp.set_defaults(func=cmd_sigma)
+    common(sp, budget=True, fg=True, onevar=True, depth=True)
+    sp.set_defaults(func=cmd_sigma, budget=DEFAULT_SEARCH_BUDGET)
 
     sp = sub.add_parser("param", help="branch parametrization at a point")
     common(sp, m=True, fg=True)

@@ -5,8 +5,11 @@ Two independent routes to the same set: `brute_points` scans the full
 one-step Hensel formula at residues where a partial derivative is a unit
 and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
 for the lifting route: the two share the evaluator (`BiPoly.horner`), not
-the enumeration.  The exhaustive digit-pair step, `_extend_pairs`, also
-serves the critical-locus search of the invariants module.
+the enumeration.  One level of the lifting route is `_lift_step`, which
+starts from any points of Y_k: the stationary-phase sums of the expsums
+module use it to lift one representative per class and the singular
+subtrees.  The exhaustive digit-pair step, `_extend_pairs`, also serves the
+critical-locus search of the invariants module.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
@@ -166,59 +169,78 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
     return PointSet(p, m, xs, ys)
 
 
+def _lift_tables(f: BiPoly, p: int):
+    """f_x and f_y mod p over the level-1 grid, and the inverses mod p.
+
+    A point keeps its residue (x0, y0) mod p as it lifts, so the partials
+    mod p of a point at any level are read from the tables at x0*p + y0.
+    The inverse table holds 0 at 0.
+    """
+    grid = np.arange(p, dtype=np.int64)
+    gx, gy = np.repeat(grid, p), np.tile(grid, p)
+    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    return f.partial("x").horner(gx, gy, p), f.partial("y").horner(gx, gy, p), inv
+
+
+def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
+    """(f_x, f_y) mod p at each point, read from `_lift_tables`."""
+    cell = xs % p * p + ys % p
+    return tables[0][cell], tables[1][cell]
+
+
+def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables, digits):
+    """Lifts to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
+
+    At a point where f_y mod p is nonzero, each entry of `digits` becomes
+    the next digit of x and one Newton division gives the digit of y;
+    symmetrically where only f_x is a unit.  `digits = arange(p)` gives
+    every lift of a smooth point, `digits = [0]` the one lift whose free
+    digit is 0.  Where both partials vanish mod p, all p^2 digit pairs are
+    tested (`_extend_pairs`) whatever `digits` is.  Columns come as the
+    smooth-y lifts, the smooth-x lifts, then the singular ones.
+    """
+    q, q1 = p**k, p ** (k + 1)
+    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
+    smooth_y = fy_red != 0
+    smooth_x = (~smooth_y) & (fx_red != 0)
+    singular = ~(smooth_y | smooth_x)
+
+    parts = []
+    # One Hensel step for both smooth fibers: row `solved` of the (x, y)
+    # candidates (y where f_y is a unit mod p, else x) gets its next digit
+    # by one Newton division; the other row takes each of `digits`.
+    for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
+        n = int(sel.sum())
+        cand = np.tile(np.stack([xs[sel], ys[sel]]), len(digits))
+        cand[1 - solved] += q * np.repeat(digits, n)
+        resid = f.horner(cand[0], cand[1], q1) // q
+        cand[solved] += q * (-resid * np.tile(tables[2][partial[sel]], len(digits)) % p)
+        parts.append(cand)
+
+    parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
+    return np.concatenate(parts, axis=1)
+
+
 def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     """Yield the solution sets mod p, p^2, ..., p^m by digit lifting.
 
-    At a residue where f_y mod p is nonzero, each of the p digits of x
-    extends to exactly one digit of y (one Newton division); symmetrically
-    for f_x; where both partials vanish mod p, all p^2 digit pairs are
-    tested.  This is the standard smooth/singular fiber split, and it is
-    what makes the counts grow by exactly p per level once every residue
-    in play is smooth.
+    Level 1 is a scan of the p^2 residues; each further level is one
+    `_lift_step` over every digit.  At a residue where a partial of f is a
+    unit mod p each point has exactly p lifts, which is what makes the
+    counts grow by exactly p per level once every residue in play is smooth.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
     _check_vector_safe(p**m)
 
-    grid = np.arange(p, dtype=np.int64)
-    gx = np.repeat(grid, p)
-    gy = np.tile(grid, p)
-    hit = f.horner(gx, gy, p) == 0
-    xs, ys = gx[hit], gy[hit]
+    origin = np.zeros(1, dtype=np.int64)
+    xs, ys = _extend_pairs((f,), origin, origin, p, 0)
     yield PointSet(p, 1, xs, ys)
 
-    # A point keeps its residue (x0, y0) mod p as it lifts, so its partials
-    # mod p are read from tables over the level-1 grid, indexed x0*p + y0.
-    fx_tab = f.partial("x").horner(gx, gy, p)
-    fy_tab = f.partial("y").horner(gx, gy, p)
-    inv_table = np.array(
-        [0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64
-    )
+    tables = _lift_tables(f, p)
     digits = np.arange(p, dtype=np.int64)
-
     for k in range(1, m):
-        q, q1 = p**k, p**(k + 1)
-        cell = xs % p * p + ys % p
-        fx_red, fy_red = fx_tab[cell], fy_tab[cell]
-        smooth_y = fy_red != 0
-        smooth_x = (~smooth_y) & (fx_red != 0)
-        singular = ~(smooth_y | smooth_x)
-
-        parts = []
-        # Smooth fibers, one Hensel step: row `solved` of the (x, y)
-        # candidates (y where f_y is a unit mod p, else x) gets its next digit
-        # by one Newton division; the other row takes every digit.
-        for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
-            n = int(sel.sum())
-            cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
-            cand[1 - solved] += q * np.repeat(digits, n)
-            resid = f.horner(cand[0], cand[1], q1) // q
-            cand[solved] += q * (-resid * np.tile(inv_table[partial[sel]], p) % p)
-            parts.append(cand)
-
-        parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
-
-        xs, ys = np.concatenate(parts, axis=1)
+        xs, ys = _lift_step(f, xs, ys, p, k, tables, digits)
         yield PointSet(p, k + 1, xs, ys)
 
 

@@ -1,17 +1,41 @@
-"""Oscillatory character sums over enumerated point sets.
+"""Oscillatory character sums along curves mod p^m.
 
 The sum attached to a curve f = 0, weight polynomial g, and scalar
 z = u / p^m (gcd(u, p) = 1, m >= 1) is
 
     S_m = sum over (x, y) in Y_m of exp(2*pi*i * u*g(x,y) / p^m),
 
-with Y_m the solution set mod p^m.  Every sum (curve, one-variable and
-branch-restricted) builds arrays of points, takes their phases with
-`_phase_values` (`BiPoly.horner` mod p^m, in integer arithmetic before any
-float conversion) and adds the characters with one kernel, `_char_sum`.
-That kernel adds the terms with np.add.reduce in the given point order:
-the reduction is pairwise, so results are deterministic and the rounding
-error stays logarithmic in the term count.
+with Y_m the solution set mod p^m.
+
+Curve and one-variable sums follow the stationary-phase rule.  Take
+k = ceil(m/2) and r = m - k, so 2k >= m and r <= k.  Over a class C of
+Y_k where f_x or f_y is a unit mod p lie exactly p^r points of Y_m, the
+lifts of one P* in Y_m along the branch through it.  The branch has
+integral Taylor coefficients, and the square of a step of size p^k
+vanishes mod p^m, so their phases are g(P*) + p^k s c mod p^m with s
+running over Z/p^r and c = -J/f_y (or J/f_x), J = f_x g_y - f_y g_x.
+Hence C adds p^r exp(2*pi*i * u*g(P*)/p^m) when J = 0 mod p^r on C, and
+exactly 0 otherwise; J mod p^r is fixed by C, because r <= k.  Classes
+where both partials vanish mod p have no such branch: their points of
+Y_m are enumerated and summed one by one.  A one-variable sum is the
+curve y = f(x) with weight y, where J = -f' and every class is smooth:
+
+    S_m = p^r * sum over a mod p^k with f'(a) = 0 mod p^r of
+          exp(2*pi*i * u*f(a)/p^m),
+
+exact for every polynomial, degenerate critical points included, since
+f(a + p^k s) = f(a) + p^k s f'(a) mod p^m.  References: J.-I. Igusa, An
+Introduction to the Theory of Local Zeta Functions, AMS/IP 2000
+(stationary phase formula); J. Denef, Report on Igusa's local zeta
+function, Seminaire Bourbaki 741 (1991).
+
+`sum_curve` sums over a given point set; it is the oracle the rule is
+checked against (on `lift_levels` or `brute_points`).  Every sum takes its
+phases with `_phase_values` (`BiPoly.horner` mod p^m, in integer arithmetic
+before any float conversion) and adds the characters with one kernel,
+`_char_sum`.  That kernel adds the terms with np.add.reduce in the given
+point order: the reduction is pairwise, so results are deterministic and
+the rounding error stays logarithmic in the term count.
 """
 
 from __future__ import annotations
@@ -24,7 +48,15 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .counting import PointSet, _check_vector_safe, _int_dtype, lift_levels
+from .counting import (
+    PointSet,
+    _check_vector_safe,
+    _int_dtype,
+    _lift_step,
+    _lift_tables,
+    _residue_partials,
+    lift_levels,
+)
 from .padic import is_prime
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
@@ -162,16 +194,20 @@ def sum_curve(f: BiPoly, g: BiPoly, phase: PhaseSpec, points: PointSet) -> SumRe
 def sum_onevar(f_one: BiPoly, phase: PhaseSpec) -> SumRecord:
     """Sum of exp(2*pi*i * u*f_one(x)/p^m) over all x mod p^m.
 
-    This is the sum along the curve y = f_one(x) with weight y, visiting the
-    graph through its x-coordinate.
+    This is the sum along the curve y = f_one(x) with weight y.  It is
+    taken by the stationary-phase rule (module docstring): p^r times the
+    sum over the p^k classes a where f_one'(a) = 0 mod p^r.
     """
     if f_one.uses_y():
         raise ValueError("one-variable sums need a polynomial in x only")
     q = phase.denominator
     _check_vector_safe(q)
-    xs = np.arange(q, dtype=np.int64)
+    k = (phase.m + 1) // 2
+    r = phase.m - k
+    xs = np.arange(phase.p**k, dtype=np.int64)
+    xs = xs[f_one.partial("x").horner(xs, np.zeros_like(xs), phase.p**r) == 0]
     phases = _phase_values(f_one, xs, np.zeros_like(xs), phase)
-    value = _char_sum(phases, q)
+    value = phase.p**r * _char_sum(phases, q)
     return SumRecord(
         p=phase.p,
         m=phase.m,
@@ -243,17 +279,64 @@ def decay_records(
     m_range: Iterable[int],
     u: int = 1,
 ) -> list[SumRecord]:
-    """One record per level in m_range, enumerating the curve tree once."""
+    """One record per level in m_range, by the stationary-phase rule.
+
+    The curve is enumerated only up to K = ceil(max m / 2).  For each m,
+    with k = ceil(m/2) and r = m - k, a smooth class of Y_k is kept when
+    J = f_x g_y - f_y g_x vanishes on it mod p^r; one lift P* of it to
+    Y_m (free digit 0) then adds p^r terms of phase g(P*).  The singular
+    points of Y_m (both partials 0 mod p) are lifted and summed directly.
+    point_count is (smooth classes of Y_k) * p^r plus the singular points.
+    """
     wanted = sorted(set(m_range))
     if not wanted:
         return []
     if wanted[0] < 1:
         raise ValueError("levels must be >= 1")
+    m_max = wanted[-1]
+    # Phases are reduced mod p^m in int64, though no level above K is lifted.
+    _check_vector_safe(p**m_max)
+    top = (m_max + 1) // 2
+    tables = _lift_tables(f, p)
+    jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
+    zero_digit, all_digits = np.zeros(1, dtype=np.int64), np.arange(p, dtype=np.int64)
+
+    smooth, singular = {}, {}  # level -> (xs, ys) of its smooth / singular points
+    for level_set in lift_levels(f, p, top):
+        xs, ys = level_set.xs, level_set.ys
+        fx_red, fy_red = _residue_partials(tables, xs, ys, p)
+        sing = (fx_red == 0) & (fy_red == 0)
+        smooth[level_set.m] = xs[~sing], ys[~sing]
+        singular[level_set.m] = xs[sing], ys[sing]
+    for j in range(top, m_max):
+        singular[j + 1] = tuple(_lift_step(f, *singular[j], p, j, tables, all_digits))
+
     records = []
-    for level_set in lift_levels(f, p, wanted[-1]):
-        if level_set.m in wanted:
-            phase = PhaseSpec(p, level_set.m, u)
-            records.append(sum_curve(f, g, phase, level_set))
+    for m in wanted:
+        k = (m + 1) // 2
+        r = m - k
+        xs, ys = smooth[k]
+        keep = jac.horner(xs, ys, p**r) == 0
+        rx, ry = xs[keep], ys[keep]
+        for j in range(k, m):
+            rx, ry = _lift_step(f, rx, ry, p, j, tables, zero_digit)
+        sx, sy = singular[m]
+        phase = PhaseSpec(p, m, u)
+        q = phase.denominator
+        value = p**r * _char_sum(_phase_values(g, rx, ry, phase), q) + _char_sum(
+            _phase_values(g, sx, sy, phase), q
+        )
+        records.append(
+            SumRecord(
+                p=p,
+                m=m,
+                u=phase.u,
+                f=str(f),
+                g=str(g),
+                value=value,
+                point_count=len(xs) * p**r + len(sx),
+            )
+        )
     return records
 
 

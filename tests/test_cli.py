@@ -221,6 +221,59 @@ def test_sum_brute_method_agrees_with_lift(capsys):
     assert (a["re"], a["im"], a["point_count"]) == (b["re"], b["im"], b["point_count"])
 
 
+@pytest.mark.parametrize(
+    "curve,weight,p,levels",
+    [("y^2 - x^3", "x + y", "3", "1..4"), ("y - x^3", "x + y", "5", "1..3"), ("x^3 + y^3 - 1", "x", "7", "2..3")],
+)
+def test_sum_methods_agree(capsys, curve, weight, p, levels):
+    # auto is stationary phase; lift and brute sum over every point of Y_m
+    records = {}
+    for method in ("auto", "lift", "brute"):
+        code, out, _ = run(
+            capsys, "sum", "--p", p, "--m", levels, "--f", curve, "--g", weight,
+            "--u", "2", "--method", method,
+        )
+        assert code == 0
+        records[method] = json.loads(out)["records"]
+    for method in ("auto", "lift"):
+        assert len(records[method]) == len(records["brute"])
+        for a, b in zip(records[method], records["brute"]):
+            assert (a["m"], a["point_count"]) == (b["m"], b["point_count"])
+            tol = 1e-11 * b["point_count"] + 1e-9
+            assert abs(complex(a["re"], a["im"]) - complex(b["re"], b["im"])) <= tol
+
+
+@pytest.mark.parametrize("method", ["brute", "lift"])
+def test_sum_onevar_rejects_an_oracle_method(capsys, method):
+    code, out, err = run(
+        capsys, "sum", "--onevar", "--p", "5", "--m", "2", "--f", "x^2", "--method", method
+    )
+    assert (code, out) == (2, "")
+    assert "sum --onevar takes no --method" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--method", "auto"), ("--method", "lift"), ("--onevar",)],
+    ids=["default", "auto", "lift", "onevar"],
+)
+def test_sum_rejects_budget_without_brute(capsys, extra):
+    fg = ("--f", "x^2") if "--onevar" in extra else ("--f", "y - x^2", "--g", "y")
+    code, out, err = run(capsys, "sum", "--p", "5", "--m", "2", *fg, *extra, "--budget", "10")
+    assert (code, out) == (2, "")
+    assert "sum takes --budget only with --method brute" in err
+
+
+def test_sum_budget_caps_the_brute_scan(capsys):
+    args = ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y", "--method", "brute")
+    code, out, _ = run(capsys, *args, "--budget", "625")
+    assert code == 0
+    assert "budget" not in json.loads(out)["config"]
+    code, _, err = run(capsys, *args, "--budget", "624")
+    assert code == 2
+    assert "budget is 624" in err
+
+
 def test_sigma_json_structure(capsys):
     code, out, _ = run(capsys, "sigma", "--p", "7", "--f", "y - x^3", "--g", "y")
     assert code == 0

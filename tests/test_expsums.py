@@ -11,8 +11,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from padicsums import expsums
 from padicsums.expsums import (
     CSV_COLUMNS,
     PhaseSpec,
@@ -24,9 +27,9 @@ from padicsums.expsums import (
     write_records_csv,
     write_records_json,
 )
-from padicsums.counting import brute_points, lift_points
+from padicsums.counting import brute_points, lift_levels, lift_points
 from padicsums.padic import additive_char
-from padicsums.polynomials import parse_poly, parse_univariate
+from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import SeriesPrecisionError, certify_point, hensel_param
 
 
@@ -156,6 +159,51 @@ def test_onevar_equals_graph_curve_sum():
 def test_onevar_rejects_bivariate():
     with pytest.raises(ValueError):
         sum_onevar(parse_poly("x + y"), PhaseSpec(5, 1, 1))
+
+
+def full_scan_onevar_sum(f_one, phase):
+    """Reference loop: one phase per x in Z/p^m, summed in full."""
+    q = phase.denominator
+    xs = np.arange(q, dtype=np.int64)
+    phases = f_one.horner(xs, np.zeros_like(xs), q) * phase.u % q
+    return complex(np.exp(2j * np.pi * phases / q).sum())
+
+
+ONEVAR_CASES = [
+    ("x^3", 5, 8),
+    ("x^3 + x", 7, 6),
+    ("x^4 + 2*x^2", 3, 10),
+    ("x^2", 2, 12),
+    ("2*x^3 + 5*x^2", 5, 7),
+    ("x^5 - x", 5, 7),
+]
+
+
+@pytest.mark.parametrize("unit", ["one", "other"])
+@pytest.mark.parametrize("text,p,m_max", ONEVAR_CASES, ids=[c[0] for c in ONEVAR_CASES])
+def test_onevar_stationary_phase_matches_the_full_scan(text, p, m_max, unit):
+    # degenerate critical points (x^3, x^2 at p = 2, 2*x^3 + 5*x^2) included
+    f_one = parse_univariate(text)
+    u = 1 if unit == "one" else (7 if p != 7 else 3)
+    for m in range(1, m_max + 1):
+        phase = PhaseSpec(p, m, u)
+        rec = sum_onevar(f_one, phase)
+        assert rec.point_count == p**m
+        assert abs(rec.value - full_scan_onevar_sum(f_one, phase)) <= 1e-11 * p**m + 1e-9
+
+
+def test_onevar_without_critical_points_is_exactly_zero():
+    # f' = 5x^4 - 1 is a unit everywhere at p = 5: no class survives once r >= 1
+    f_one = parse_univariate("x^5 - x")
+    for m in range(2, 8):
+        assert sum_onevar(f_one, PhaseSpec(5, m, 1)).value == 0
+
+
+def test_onevar_gauss_sum_at_the_cap():
+    # 3^19 < 2^31 <= 3^20; the full scan would need 3^19 phases, the rule 3^10
+    rec = sum_onevar(parse_univariate("x^2"), PhaseSpec(3, 19, 1))
+    assert rec.point_count == 3**19
+    assert rec.magnitude == pytest.approx(3**9.5, rel=1e-9)
 
 
 # -- branch-restricted sums --------------------------------------------------------------
@@ -300,6 +348,76 @@ def test_decay_records_validation():
     assert decay_records(f, g, 3, []) == []
     with pytest.raises(ValueError):
         decay_records(f, g, 3, [0, 1])
+
+
+def lift_oracle_records(f, g, p, levels, u):
+    """sum_curve on every point of each requested lift level."""
+    return [
+        sum_curve(f, g, PhaseSpec(p, ps.m, u), ps)
+        for ps in lift_levels(f, p, max(levels))
+        if ps.m in levels
+    ]
+
+
+def assert_records_agree(got, want):
+    assert [r.m for r in got] == [r.m for r in want]
+    for a, b in zip(got, want):
+        assert a.point_count == b.point_count
+        assert abs(a.value - b.value) <= 1e-11 * b.point_count + 1e-9
+
+
+CURVE_TERMS = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3)),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    min_size=1,
+    max_size=4,
+)
+# the oracle lifts all of Y_m, up to p^(2m) points on a degenerate curve
+MAX_LEVEL = {2: 8, 3: 5, 5: 3, 7: 3}
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    CURVE_TERMS,
+    CURVE_TERMS,
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=10**6),
+    st.data(),
+)
+def test_decay_records_match_the_lift_oracle(f_terms, g_terms, p, u, data):
+    f, g = BiPoly(f_terms), BiPoly(g_terms)
+    if u % p == 0:
+        u += 1
+    lo = data.draw(st.integers(min_value=1, max_value=MAX_LEVEL[p]))
+    hi = data.draw(st.integers(min_value=lo, max_value=MAX_LEVEL[p]))
+    levels = list(range(lo, hi + 1))
+    assert_records_agree(decay_records(f, g, p, levels, u), lift_oracle_records(f, g, p, levels, u))
+
+
+@pytest.mark.parametrize(
+    "curve,weight,p,m_max",
+    [("y^2 - x^3 - 49", "x + y", 7, 6), ("y^2 - x^3", "y", 5, 7), ("y^2 - x^3", "x + 2*y", 5, 7)],
+)
+def test_decay_records_sum_the_singular_subtree(curve, weight, p, m_max):
+    # most points of Y_m lie over the classes where both partials vanish mod p
+    f, g = parse_poly(curve), parse_poly(weight)
+    levels = list(range(1, m_max + 1))
+    assert_records_agree(decay_records(f, g, p, levels, 3), lift_oracle_records(f, g, p, levels, 3))
+
+
+def test_decay_records_enumerate_only_up_to_half_the_top_level(monkeypatch):
+    seen = []
+
+    def recording_lift_levels(f, p, m):
+        for level_set in lift_levels(f, p, m):
+            seen.append(level_set.m)
+            yield level_set
+
+    monkeypatch.setattr(expsums, "lift_levels", recording_lift_levels)
+    f, g = parse_poly("y - x^2"), parse_poly("y")
+    records = decay_records(f, g, 5, range(3, 10))
+    assert max(seen) == 5  # ceil(9 / 2)
+    assert [r.point_count for r in records] == [5**m for m in range(3, 10)]
 
 
 def test_json_round_trip_and_determinism():
