@@ -274,8 +274,6 @@ def cmd_param(args) -> int:
         },
     }
     if args.g is not None:
-        if args.m is None:
-            raise ValueError("a restricted sum needs --m")
         g = parse_poly(args.g)
         phase = PhaseSpec(args.p, _single_level(args), args.u)
         record = sum_parametric(param, g, args.l, phase)
@@ -395,9 +393,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("points needs --f")
         if args.command == "param" and not args.at:
             parser.error("param needs --at")
-        if args.command in ("points", "sum", "verify", "param") and not getattr(args, "m", None):
-            if args.command != "param" or args.g is not None:
-                parser.error(f"{args.command} needs --m")
+        needs_m = args.command in ("points", "sum", "verify") or (
+            args.command == "param" and args.g is not None
+        )
+        if needs_m and not args.m:
+            parser.error(f"{args.command} needs --m")
+        if args.command == "param" and args.m is not None and args.g is None:
+            parser.error("param takes --m only with --g, for a restricted sum")
         return args.func(args)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize None to 0

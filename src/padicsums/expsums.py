@@ -7,7 +7,7 @@ z = u / p^m (gcd(u, p) = 1, m >= 1) is
 
 with Y_m the solution set mod p^m.
 
-Curve and one-variable sums follow the stationary-phase rule.  Take
+Curve, one-variable and branch sums follow the stationary-phase rule.  Take
 k = ceil(m/2) and r = m - k, so 2k >= m and r <= k.  Over a class C of
 Y_k where f_x or f_y is a unit mod p lie exactly p^r points of Y_m, the
 lifts of one P* in Y_m along the branch through it.  The branch has
@@ -24,7 +24,14 @@ curve y = f(x) with weight y, where J = -f' and every class is smooth:
           exp(2*pi*i * u*f(a)/p^m),
 
 exact for every polynomial, degenerate critical points included, since
-f(a + p^k s) = f(a) + p^k s f'(a) mod p^m.  References: J.-I. Igusa, An
+f(a + p^k s) = f(a) + p^k s f'(a) mod p^m.  A branch sum is a one-variable
+sum: along branch(t) with t = p^l s, every non-constant term of
+g(branch(p^l s)) carries p^l, so
+
+    g(branch(p^l s)) = g(anchor) + p^l H(s),    H in Z[s],
+
+and the sum over s mod p^(m-l) is exp(2*pi*i * u*g(anchor)/p^m) times the
+one-variable sum of H at level m - l.  References: J.-I. Igusa, An
 Introduction to the Theory of Local Zeta Functions, AMS/IP 2000
 (stationary phase formula); J. Denef, Report on Igusa's local zeta
 function, Seminaire Bourbaki 741 (1991).
@@ -51,7 +58,6 @@ import numpy as np
 from .counting import (
     PointSet,
     _check_vector_safe,
-    _int_dtype,
     _lift_step,
     _lift_tables,
     _residue_partials,
@@ -230,6 +236,14 @@ def sum_parametric(
     T + (T+1)*l >= m when the series has the restricted coefficient growth
     v(c_k) >= k - 1.  Violations raise SeriesPrecisionError: recompute the
     parametrization with a larger t-order.
+
+    g is composed with the branch exactly, as a polynomial in s = t / p^l
+    (truncating g(branch(t)) at t^T would not do: on restricted-shape
+    branches the relaxed rule makes only the points exact mod p^m).  The
+    sum is then the one-variable sum of the module docstring, at level
+    m - l: cost p^ceil((m-l)/2) phases, after a composition of degree
+    deg(g) * T.  Like `sum_onevar` it needs p^(m-l) <= 2^31 and raises
+    BudgetError above that.  point_count is p^(m-l).
     """
     if l < 0:
         raise ValueError("l must be >= 0")
@@ -254,13 +268,18 @@ def sum_parametric(
         )
 
     q = phase.denominator
-    count = q // param.p**l
-    # int64 up to the cap, exact Python ints above it; float64 holds every
-    # phase exactly while q < 2^53.
-    ts = np.arange(count, dtype=_int_dtype(q)) * param.p**l
-    xs, ys = param.point_at(ts, q)
-    phases = _phase_values(g, xs, ys, phase).astype(np.float64)
-    value = _char_sum(phases, q)
+    scale = param.p**l
+    x, y = (
+        BiPoly({(k, 0): c * scale**k for k, c in enumerate(series.coeffs)})
+        for series in (param.x_series(), param.y_series())
+    )
+    composed = g.horner(x, y)  # g(branch(p^l s)) as an exact polynomial in s
+    g0 = composed.coefficient(0, 0)
+    # a float phase: u*g0 mod q exceeds int64 when q does
+    value = _char_sum(np.array([float(phase.u * g0 % q)]), q)
+    if l < phase.m:
+        rest = (composed - g0).divide_exact(scale)
+        value *= sum_onevar(rest, PhaseSpec(phase.p, phase.m - l, phase.u)).value
     return SumRecord(
         p=phase.p,
         m=phase.m,
@@ -268,7 +287,7 @@ def sum_parametric(
         f=f"branch at ({param.anchor.x % q}, {param.anchor.y % q})",
         g=str(g),
         value=value,
-        point_count=count,
+        point_count=q // scale,
     )
 
 

@@ -7,14 +7,14 @@ evaluation time.  The canonical string form (graded-lex term order, explicit
 
 Two evaluators, split by operand type.  `BiPoly.evaluate` takes Python ints
 and sums the terms with three-argument `pow`.  `BiPoly.horner` takes
-anything with `+`, `*` (and `%` when reducing): numpy arrays of points and
-truncated power series along a branch.  On Python ints Horner is the slower
-of the two: 3.3-8.3 us per call against 0.65-1.25 us for the term sum, on
-three critical-locus search curves and their Jacobians mod 5^7 (2-core host,
-Python 3.11).  On arrays it is the faster one: each step is one
-whole-array multiply-add, where a term sum builds a power array per
-monomial; brute_points(y^2 - x^3 + x, p=3, m=6) takes 55-65 % of the time
-it took with per-monomial arrays.
+anything with `+`, `*` (and `%` when reducing): numpy arrays of points,
+truncated power series along a branch, and BiPolys (exact composition).  On
+Python ints Horner is the slower of the two: 3.3-8.3 us per call against
+0.65-1.25 us for the term sum, on three critical-locus search curves and
+their Jacobians mod 5^7 (2-core host, Python 3.11).  On arrays it is the
+faster one: each step is one whole-array multiply-add, where a term sum
+builds a power array per monomial; brute_points(y^2 - x^3 + x, p=3, m=6)
+takes 55-65 % of the time it took with per-monomial arrays.
 """
 
 from __future__ import annotations
@@ -208,11 +208,13 @@ class BiPoly:
         """Value at non-scalar operands: Horner in y over Horner in x.
 
         Uses only `+`, `*` and, when `modulus` is given, `%`, so x and y may
-        be numpy arrays of points (of one shape) or truncated series (of one
-        order cap).  The result has the operands' shape even for a constant
-        or zero polynomial.  With a modulus, x, y and every coefficient are
-        reduced first (coefficients may exceed int64); int64 arrays then stay
-        exact for modulus <= 2^31, since every product is below 2^62.
+        be numpy arrays of points (of one shape), truncated series (of one
+        order cap) or, with no modulus, polynomials: g.horner(x(s), y(s)) is
+        the exact composition g(x(s), y(s)) as a BiPoly.  The result has the
+        operands' shape even for a constant or zero polynomial.  With a
+        modulus, x, y and every coefficient are reduced first (coefficients
+        may exceed int64); int64 arrays then stay exact for modulus <= 2^31,
+        since every product is below 2^62.
         """
         if modulus is not None:
             x, y = x % modulus, y % modulus

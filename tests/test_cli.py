@@ -212,6 +212,35 @@ def test_param_rejects_options_it_does_not_read(capsys, flag):
     assert f"unrecognized arguments: {' '.join(flag)}" in err
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [(("--m", "5", "--l", "2"), "param takes --m only with --g"), (("--g", "y"), "param needs --m")],
+    ids=["m-without-g", "g-without-m"],
+)
+def test_param_takes_g_and_m_only_together(capsys, flags, message):
+    code, out, err = run(capsys, "param", "--p", "5", "--f", "y - x^2", "--at", "0,0", *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_param_restricted_sum_over_the_cap_exits_two(capsys):
+    # 2^35 branch points; refused before anything of that size is built
+    code, out, err = run(
+        capsys,
+        "param",
+        "--p", "2",
+        "--f", "y - x^2",
+        "--at", "0,0",
+        "--order", "8",
+        "--precision", "40",
+        "--g", "y",
+        "--m", "40",
+        "--l", "5",
+    )
+    assert (code, out) == (2, "")
+    assert "exceeds the exact int64 evaluation cap" in err
+
+
 def test_sum_brute_method_agrees_with_lift(capsys):
     args = ("--p", "3", "--m", "2", "--f", "y^2 - x^3", "--g", "x + y")
     _, out_lift, _ = run(capsys, "sum", *args, "--method", "lift")

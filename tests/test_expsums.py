@@ -27,7 +27,7 @@ from padicsums.expsums import (
     write_records_csv,
     write_records_json,
 )
-from padicsums.counting import brute_points, lift_levels, lift_points
+from padicsums.counting import BudgetError, brute_points, lift_levels, lift_points
 from padicsums.padic import additive_char
 from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import SeriesPrecisionError, certify_point, hensel_param
@@ -244,8 +244,8 @@ def test_parametric_exact_power_magnitude():
 
 
 def test_parametric_exact_phases_above_int64_wall():
-    # q = 2^32 is past the int64 cap of the vectorized enumeration; with
-    # t = 2^15 * s the phase t^2 = 2^30 * s^2 mod 2^32, so the 2^17 terms are
+    # q = 2^32 is past the int64 cap, the one-variable level 2^17 is not;
+    # with t = 2^15 * s the phase t^2 = 2^30 * s^2 mod 2^32, so the 2^17 terms are
     # 1 for even s and i for odd s: S = 2^16 * (1 + i), a quadratic Gauss sum
     p, m, l = 2, 32, 15
     f, g = parse_poly("y - x^2"), parse_poly("y")
@@ -282,7 +282,7 @@ def test_parametric_sum_matches_the_scalar_loop_on_int64(curve, solve_for, l):
 
 @pytest.mark.parametrize("curve,solve_for", [("y - x^2 - x", "y"), ("x - y^2 - 2*y", "x")])
 def test_parametric_sum_matches_the_scalar_loop_above_int64(curve, solve_for):
-    # q = 2^32 is past the int64 cap, so the points are Python ints
+    # q = 2^32 is past the int64 cap; the sum over s runs at level m - l = 12
     p, m, l = 2, 32, 20
     f, g = parse_poly(curve), parse_poly("x + 3*y^2 + x*y - 2*x^3")
     param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=4, precision=m)
@@ -327,6 +327,85 @@ def test_srp_series_gets_relaxed_tail_rule():
         y = (-5 * x * x * pow(1 + 5 * x, -1, q)) % q
         direct += cmath.exp(2j * cmath.pi * y / q)
     assert rec.value == pytest.approx(direct, abs=1e-9)
+
+
+@pytest.mark.parametrize("weight", ["x^5", "x^2*y + x^4"])
+def test_parametric_sum_composes_the_weight_exactly(weight):
+    # The relaxed tail rule makes only the points exact mod p^m: truncating
+    # g(branch(t)) at t^3 instead is off by 3125 for x^5 and 2500 for x^2*y + x^4.
+    p, m, l = 5, 6, 1
+    f, g = parse_poly("y + 5*x^2 + 5*x*y"), parse_poly(weight)
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=3, precision=8)
+    phase = PhaseSpec(p, m, 1)
+    rec = sum_parametric(param, g, l, phase)
+    assert rec.point_count == p ** (m - l)
+    assert rec.value == pytest.approx(scalar_parametric_sum(param, g, l, phase), abs=1e-9)
+
+
+def test_parametric_sum_at_l_equal_to_m_is_the_anchor_term():
+    # one point, with q = 7^30 > 2^63: the anchor phase is a Python int.  The
+    # anchor's y is 2/3 in Z_7, so its phase is far from 0 mod q.
+    p, m = 7, 30
+    f, g = parse_poly("3*y - x^2 - 1"), parse_poly("y + x*y^2")
+    param = hensel_param(f, certify_point(f, 1, 3, p, 1), order=2, precision=m)
+    phase = PhaseSpec(p, m, 3)
+    rec = sum_parametric(param, g, m, phase)
+    assert rec.point_count == 1
+    assert rec.value == pytest.approx(scalar_parametric_sum(param, g, m, phase), abs=1e-12)
+
+
+def test_parametric_sum_is_capped_before_it_allocates():
+    # p^(m-l) = 2^35 branch points: over the 2^31 cap of the one-variable sum
+    p, m, l = 2, 40, 5
+    f = parse_poly("y - x^2")
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=8, precision=m)
+    with pytest.raises(BudgetError):
+        sum_parametric(param, parse_poly("y"), l, PhaseSpec(p, m, 1))
+
+
+# at most this many branch points per example, so the scalar loop stays fast
+MAX_BRANCH_POINTS = 3125
+SMALL_COEFFS = st.integers(min_value=-9, max_value=9)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.sampled_from(["x", "y"]),
+    st.booleans(),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: 2 <= sum(k) <= 3),
+        SMALL_COEFFS.filter(bool),
+        max_size=4,
+    ),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda k: sum(k) <= 3),
+        SMALL_COEFFS.filter(bool),
+        max_size=5,
+    ),
+    st.data(),
+)
+def test_parametric_sum_matches_the_scalar_loop(p, solve_for, restricted, higher, g_terms, data):
+    # f = a*x + b*y + (terms of degree 2..3) with the solved-for partial a
+    # unit at the origin; "restricted" scales degree d by p^(d-1), which
+    # gives a restricted-shape branch and so admits l = 0
+    unit = p * data.draw(SMALL_COEFFS) + data.draw(st.integers(1, p - 1))
+    other = data.draw(SMALL_COEFFS) * (p if solve_for == "x" else 1)
+    terms = {(1, 0): unit, (0, 1): other} if solve_for == "x" else {(1, 0): other, (0, 1): unit}
+    for (i, j), c in higher.items():
+        terms[(i, j)] = c * p ** (i + j - 1) if restricted else c
+    f, g = BiPoly(terms), BiPoly(g_terms)
+    m = data.draw(st.integers(1, 6))
+    lowest = max(0 if restricted else 1, m - int(math.log(MAX_BRANCH_POINTS, p) + 1e-9))
+    l = data.draw(st.integers(lowest, m))
+    u = p * data.draw(st.integers(0, 50)) + data.draw(st.integers(1, p - 1))
+    param = hensel_param(f, certify_point(f, 0, 0, p, 1), order=m, precision=m + 1)
+    assert param.solve_for == solve_for
+    phase = PhaseSpec(p, m, u)
+    rec = sum_parametric(param, g, l, phase)
+    assert rec.point_count == p ** (m - l)
+    want = scalar_parametric_sum(param, g, l, phase)
+    assert abs(rec.value - want) <= 1e-11 * p ** (m - l) + 1e-9
 
 
 # -- record streams and serialization -------------------------------------------------
