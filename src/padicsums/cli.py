@@ -51,6 +51,7 @@ from .invariants import (
     write_decay_csv,
     write_decay_json,
 )
+from .padic import is_prime
 from .polynomials import PolySyntaxError, parse_poly, parse_univariate
 from .series import SeriesPrecisionError, certify_point, hensel_param
 
@@ -389,6 +390,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "p", None) is None:
             parser.error("--p is required (flag or config file)")
+        if not is_prime(args.p):
+            parser.error(f"p must be prime, got {args.p}")
         if args.command == "points" and not args.f:
             parser.error("points needs --f")
         if args.command == "param" and not args.at:

@@ -17,6 +17,11 @@ J = f_x g_y - f_y g_x vanishes).  This module computes:
                        for anything left unresolved
   * decay_fit       -- least-squares slope of log_p |S_m| against m, checked
                        against the predicted exponent
+
+The search and curve_depth work in whole-array passes over the classes or
+points of a level; only those that pass a gate (the Newton determinant
+nonzero mod p^((k+1)//2), an exact hit, both partials 0 mod p^level) are
+handled one by one.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from .counting import BudgetError, _extend_pairs, _int_dtype, lift_points
 from .expsums import SumRecord
-from .padic import INFINITY, _int_valuation
+from .padic import INFINITY, _int_valuation, is_prime
 from .polynomials import BiPoly
 from .series import (
     CurvePoint,
@@ -135,17 +140,23 @@ def curve_depth(f: BiPoly, p: int, probe: int = 3) -> CurveDepthReport:
 
     This is a finite-depth lower bound for the true supremum; `complete` is
     False when some point's depth was still indeterminate at the probe
-    level, in which case rerunning with a larger probe is the remedy.
+    level, in which case rerunning with a larger probe is the remedy.  Only
+    points where both partials vanish mod p^level go through `point_depth`.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     level = 2 * probe
     pts = lift_points(f, p, level)
-    best, witness, complete = 0, None, True
-    for x, y in pts.pairs():
-        d = point_depth(f, certify_point(f, x, y, p, level))
-        if not d.exact:
-            complete = False
-        if d.value > best:
-            best, witness = d.value, (x, y)
+    partials = np.array([f.partial(v).horner(pts.xs, pts.ys, p**level) for v in "xy"])
+    depths = _capped_valuations(partials, p, level).min(axis=0)
+    complete, witness = True, None
+    for n in np.flatnonzero(depths == level):
+        d = point_depth(f, certify_point(f, int(pts.xs[n]), int(pts.ys[n]), p, level))
+        depths[n], complete = d.value, complete and d.exact
+    best = int(depths.max(initial=0))
+    if best:
+        n = depths.argmax()
+        witness = (int(pts.xs[n]), int(pts.ys[n]))
     return CurveDepthReport(best, level, complete, witness)
 
 
@@ -335,69 +346,55 @@ class ExponentCertificate:
         }
 
 
-def _pinned_valuation(c: int, p: int) -> int | None:
-    """v(x) for every lift of a class representative, or None if unpinned."""
-    return None if c == 0 else _int_valuation(c, p)
+def _capped_valuations(vals: np.ndarray, p: int, k: int) -> np.ndarray:
+    """min(v(a), k) for each residue a mod p^k in the array; 0 gives k.
 
-
-def _monomial_refutes(jac: BiPoly, x0: int, y0: int, p: int, k: int) -> bool:
-    """True when one monomial of jac dominates on the whole class mod p^k.
-
-    With v(x) and v(y) pinned by nonzero representatives, each monomial has
-    an exact valuation on every lift; a unique minimum forces
-    v(jac) = min < infinity there, so no lift can be a critical point.  A
-    zero representative only bounds its coordinate's valuation below, by
-    the class level k.
+    gcd(a, p^k) is p^min(v(a), k), so its index among p^0..p^k is the answer.
     """
-    vx = _pinned_valuation(x0, p)
-    vy = _pinned_valuation(y0, p)
-    exact: list[int] = []
-    bounds: list[int] = []
-    for (i, j), c in jac.terms.items():
-        vc = _int_valuation(c, p)
-        known_x = i == 0 or vx is not None
-        known_y = j == 0 or vy is not None
-        vx_term = 0 if i == 0 else i * (vx if vx is not None else k)
-        vy_term = 0 if j == 0 else j * (vy if vy is not None else k)
-        total = vc + vx_term + vy_term
-        if known_x and known_y:
-            exact.append(total)
-        else:
-            bounds.append(total)
-    if not exact:
-        return False
-    low = min(exact)
-    if exact.count(low) != 1:
-        return False
-    if bounds and min(bounds) <= low:
-        return False
-    return True
+    powers = np.array([p**s for s in range(k + 1)], dtype=vals.dtype)
+    return np.searchsorted(powers, np.gcd(vals, p**k))
+
+
+def _refuted(jac: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int) -> np.ndarray:
+    """Mask of the classes mod p^k on which one monomial of jac dominates.
+
+    A nonzero representative pins v(x) (or v(y)) on every lift, so each
+    monomial has an exact valuation there; a zero representative only
+    bounds it below, by the class level k.  Taking min(v, k) gives both at
+    once.  A class is refuted when the least monomial valuation is reached
+    by exactly one monomial and that one is exact: then v(jac) is that
+    minimum on every lift, so no lift is a critical point.
+    """
+    exps = np.array(list(jac.terms)).T  # (2, terms): the x and y degrees
+    vc = np.array([_int_valuation(c, p) for c in jac.terms.values()])
+    v = _capped_valuations(np.array([xs, ys]), p, k).T  # (classes, 2)
+    total = vc + v @ exps
+    inexact = (v == k) @ (exps > 0)
+    at_min = total == total.min(axis=1, keepdims=True)
+    return (at_min.sum(axis=1) == 1) & (at_min & ~inexact).any(axis=1)
 
 
 def _newton_certify(
-    f: BiPoly, jac: BiPoly, x0: int, y0: int, p: int, k: int, target: int
+    f: BiPoly, jac: BiPoly, det: BiPoly, x0: int, y0: int, p: int, k: int, target: int
 ) -> tuple[int, int] | None:
     """Unique critical point in the class by 2-variable Hensel refinement.
 
-    Requires the Jacobian matrix of (f, jac) to have determinant valuation t
-    with k >= 2t + 1 at the representative; then a unique common zero exists
-    within p^-(k-t) and Newton doubles its certified digits each step.
-    Returns the zero mod p^target, or None when the hypothesis fails or the
-    refined zero leaves the class.
+    `det` is the determinant f_x jac_y - f_y jac_x of the Jacobian matrix
+    of (f, jac).  Requires its valuation t at the representative to satisfy
+    k >= 2t + 1; then a unique common zero exists within p^-(k-t) and Newton
+    doubles its certified digits each step.  Returns the zero mod p^target,
+    or None when the hypothesis fails or the refined zero leaves the class.
     """
-    rows = (
-        (f.partial("x"), f.partial("y")),
-        (jac.partial("x"), jac.partial("y")),
-    )
-    det0 = (
-        rows[0][0].evaluate(x0, y0) * rows[1][1].evaluate(x0, y0)
-        - rows[0][1].evaluate(x0, y0) * rows[1][0].evaluate(x0, y0)
-    )
+    det0 = det.evaluate(x0, y0)
     if det0 == 0:
         return None
     t = _int_valuation(det0, p)
     if k < 2 * t + 1:
         return None
+    rows = (
+        (f.partial("x"), f.partial("y")),
+        (jac.partial("x"), jac.partial("y")),
+    )
     work = target + t + 4
     mod = p**work
     x, y = x0 % mod, y0 % mod
@@ -432,29 +429,44 @@ def _newton_certify(
     return x % qt, y % qt
 
 
-def _exact_hit(f: BiPoly, jac: BiPoly, x0: int, y0: int, q: int) -> tuple[int, int] | None:
-    """Small integer representative solving both equations exactly, if any."""
-    for x in (x0, x0 - q):
-        for y in (y0, y0 - q):
-            if f.evaluate(x, y) == 0 and jac.evaluate(x, y) == 0:
-                return x, y
-    return None
+# A prime near the int64 evaluation cap: an exact zero is zero mod it.
+_HIT_SIEVE = 2**31 - 1
+
+
+def _exact_hits(f: BiPoly, jac: BiPoly, xs: np.ndarray, ys: np.ndarray, q: int) -> np.ndarray:
+    """Per class mod q, which small representative solves f = jac = 0 exactly.
+
+    The candidates are (x0, y0), (x0, y0 - q), (x0 - q, y0), (x0 - q, y0 - q),
+    numbered 0-3 in that order; the entry is the first that solves both
+    equations over Z, or -1.  An int64 pass mod _HIT_SIEVE discards almost
+    every candidate, and only the survivors are evaluated exactly.
+    """
+    hits = np.full(len(xs), -1)
+    for c in range(4):
+        if (hits >= 0).all():
+            break
+        x, y = xs - q * (c // 2), ys - q * (c % 2)
+        sx = (x % _HIT_SIEVE).astype(np.int64, copy=False)
+        sy = (y % _HIT_SIEVE).astype(np.int64, copy=False)
+        todo = np.flatnonzero((hits < 0) & (f.horner(sx, sy, _HIT_SIEVE) == 0))
+        if len(todo):
+            todo = todo[jac.horner(sx[todo], sy[todo], _HIT_SIEVE) == 0]
+            ox, oy = x[todo].astype(object), y[todo].astype(object)
+            hits[todo[(f.horner(ox, oy) == 0) & (jac.horner(ox, oy) == 0)]] = c
+    return hits
 
 
 def _extend_classes(
-    polys: Sequence[BiPoly], classes, p: int, k: int, budget: int
-):
+    polys: Sequence[BiPoly], xs: np.ndarray, ys: np.ndarray, p: int, k: int, budget: int
+) -> tuple[np.ndarray, np.ndarray]:
     """One digit-pair extension level for a simultaneous system."""
-    if len(classes) * p * p > budget:
+    if len(xs) * p * p > budget:
         raise BudgetError(
-            f"critical-locus search needs {len(classes) * p * p} tests at "
+            f"critical-locus search needs {len(xs) * p * p} tests at "
             f"level {k + 1}, budget is {budget}"
         )
     dtype = _int_dtype(p ** (k + 1))
-    xs = np.array([x for x, _ in classes], dtype=dtype)
-    ys = np.array([y for _, y in classes], dtype=dtype)
-    cx, cy = _extend_pairs(polys, xs, ys, p, k)
-    return list(zip(cx.tolist(), cy.tolist()))
+    return _extend_pairs(polys, np.asarray(xs, dtype), np.asarray(ys, dtype), p, k)
 
 
 def contact_exponent(
@@ -478,7 +490,14 @@ def contact_exponent(
     still open at `depth` (which must be >= 1) get up to `depth` more levels,
     since they may die out deeper.  Points of the curve away from the
     critical locus contribute order 1.
+
+    A level is resolved in array passes: a classes x monomials valuation
+    matrix refutes; the Newton hypothesis v(det) <= (k-1)/2 is exactly
+    det != 0 mod p^((k+1)//2), det = f_x J_y - f_y J_x; exact hits are
+    sieved in int64.  Witnesses are measured in frontier order.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if depth < 1:
         raise ValueError(f"search depth must be >= 1, got {depth}")
     if g.is_constant:
@@ -491,16 +510,17 @@ def contact_exponent(
         )
 
     # Level 1 extends the one class mod p^0; the budget caps deeper levels.
-    origin = [(0, 0)]
-    curve_mod_p = _extend_classes((f,), origin, p, 0, math.inf)
+    origin = np.zeros(1, dtype=np.int64)
+    curve_mod_p, _ = _extend_classes((f,), origin, origin, p, 0, math.inf)
     notes: list[str] = []
-    if not curve_mod_p:
+    if not len(curve_mod_p):
         return ExponentCertificate(
             1, (), depth, "certified", ("curve has no points mod p",)
         )
 
-    frontier = _extend_classes((f, jac), origin, p, 0, math.inf)
-    all_critical_mod_p = len(frontier) == len(curve_mod_p)
+    xs, ys = _extend_classes((f, jac), origin, origin, p, 0, math.inf)
+    all_critical_mod_p = len(xs) == len(curve_mod_p)
+    det = f.partial("x") * jac.partial("y") - f.partial("y") * jac.partial("x")
 
     witnesses: list[Witness] = []
     attempted = inconclusive = unparametrized = 0
@@ -538,33 +558,35 @@ def contact_exponent(
             )
         )
 
-    def resolve(classes, k: int, final: bool):
-        """Split classes into (still open, resolved count)."""
-        open_classes = []
-        for x0, y0 in classes:
-            if _monomial_refutes(jac, x0, y0, p, k):
-                continue
-            refined = _newton_certify(
-                f, jac, x0, y0, p, k, _NEWTON_WITNESS_LEVEL
+    def resolve(xs, ys, k: int, final: bool):
+        """The classes mod p^k left open by refutation, Newton and exact hits."""
+        open_ = ~_refuted(jac, xs, ys, p, k)
+        gated = open_ & (det.horner(xs, ys, p ** ((k + 1) // 2)) != 0)
+        hits = np.full(len(xs), -1)
+        if final:
+            hits[open_] = _exact_hits(f, jac, xs[open_], ys[open_], p**k)
+        for n in np.flatnonzero(gated | (hits >= 0)):
+            x0, y0 = int(xs[n]), int(ys[n])
+            refined = gated[n] and _newton_certify(
+                f, jac, det, x0, y0, p, k, _NEWTON_WITNESS_LEVEL
             )
-            if refined is not None:
+            if refined:
                 measure(refined[0], refined[1], _NEWTON_WITNESS_LEVEL, "hensel-unique")
+            elif hits[n] >= 0:
+                q, c = p**k, int(hits[n])
+                measure(x0 - q * (c // 2), y0 - q * (c % 2), max(k, 2), "exact-point")
+            else:
                 continue
-            if final:
-                hit = _exact_hit(f, jac, x0, y0, p**k)
-                if hit is not None:
-                    measure(hit[0], hit[1], max(k, 2), "exact-point")
-                    continue
-            open_classes.append((x0, y0))
-        return open_classes
+            open_[n] = False
+        return xs[open_], ys[open_]
 
     k = 1
     try:
         while True:
-            frontier = resolve(frontier, k, final=k >= depth)
-            if not frontier or k == 2 * depth:
+            xs, ys = resolve(xs, ys, k, final=k >= depth)
+            if not len(xs) or k == 2 * depth:
                 break
-            frontier = _extend_classes((f, jac), frontier, p, k, budget)
+            xs, ys = _extend_classes((f, jac), xs, ys, p, k, budget)
             k += 1
     except BudgetError as exc:
         notes.append(str(exc))
@@ -582,9 +604,9 @@ def contact_exponent(
             "the weight moving: the weight is constant on the curve"
         )
 
-    confidence = "certified" if not frontier else "heuristic"
-    if frontier:
-        notes.append(f"{len(frontier)} candidate class(es) unresolved at depth {k}")
+    confidence = "certified" if not len(xs) else "heuristic"
+    if len(xs):
+        notes.append(f"{len(xs)} candidate class(es) unresolved at depth {k}")
     exponent = max([1] + [w.order for w in witnesses])
     return ExponentCertificate(
         exponent=exponent,

@@ -58,6 +58,17 @@ def test_verify_pass_and_fail_codes(capsys):
         ("points", "--p", "5", "--m", "2"),  # missing --f
         ("sum", "--m", "2", "--f", "y - x", "--g", "y"),  # missing --p
         ("points", "--p", "5", "--m", "4", "--f", "y - x^2", "--method", "brute", "--budget", "10"),
+    ]
+    # not prime: p = 1 made the search loop forever, 0 and 4 gave a "certified" sigma
+    + [
+        (command, "--p", p, *rest)
+        for command, *rest in (
+            ("sigma", "--f", "y - x^3", "--g", "y"),
+            ("verify", "--m", "2..3", "--f", "y - x^2", "--g", "y"),
+            ("points", "--m", "2", "--f", "y - x^2"),
+            ("param", "--f", "y - x^2", "--at", "0,0"),
+        )
+        for p in ("0", "1", "4")
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -310,6 +321,84 @@ def test_sigma_json_structure(capsys):
     assert payload["certificate"]["exponent"] == 3
     assert payload["certificate"]["confidence"] == "certified"
     assert payload["config"]["command"] == "sigma"
+
+
+def _witness(x, y, order, chart_scale=0, leading_val=0):
+    return {
+        "certified_by": "exact-point",
+        "chart_scale": chart_scale,
+        "leading_val": leading_val,
+        "level": 6,
+        "order": order,
+        "x": x,
+        "y": y,
+    }
+
+
+# Whole sigma certificates, witness order and note text included, as the
+# scalar per-class search wrote them; the array search must reproduce them.
+# The cusp's "certified" label is ROADMAP 4(a), pinned here as it stands.
+PINNED_CERTIFICATES = [
+    (
+        ("--p", "7", "--f", "x^3 + y^3 - 1", "--g", "x"),
+        "heuristic", 3, ["2 candidate class(es) unresolved at depth 12"], [_witness(1, 0, 3)],
+    ),
+    (
+        ("--p", "5", "--f", "y^2 - x^3", "--g", "y"),
+        "certified", 1,
+        ["contact order at (0, 0) mod p^4 undecided at the precision caps"], [],
+    ),
+    (
+        ("--p", "7", "--f", "y - x^3 + 3*x^2 - 3*x + 1", "--g", "y"),
+        "heuristic", 3,
+        [
+            "critical-locus search needs 705894 tests at level 11, budget is 200000",
+            "14406 candidate class(es) unresolved at depth 10",
+        ],
+        [_witness(1, 0, 3)],
+    ),
+    (
+        ("--p", "5", "--f", "y^2 - x^3", "--g", "y", "--budget", "100"),
+        "heuristic", 1,
+        [
+            "critical-locus search needs 125 tests at level 3, budget is 100",
+            "5 candidate class(es) unresolved at depth 2",
+        ],
+        [],
+    ),
+    (
+        ("--p", "5", "--f", "y^2 - x^3 - 25", "--g", "y"),
+        "certified", 3, [], [_witness(0, 5, 3, 1, 3), _witness(0, -5, 3, 1, 3)],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,confidence,exponent,notes,witnesses",
+    PINNED_CERTIFICATES,
+    ids=["fermat-cubic", "cusp", "shifted-cubic", "budget", "node-pair"],
+)
+def test_sigma_certificate_is_pinned(capsys, argv, confidence, exponent, notes, witnesses):
+    code, out, _ = run(capsys, "sigma", *argv)
+    assert code == 0
+    opts = dict(zip(argv[::2], argv[1::2]))
+    assert json.loads(out) == {
+        "certificate": {
+            "confidence": confidence,
+            "exponent": exponent,
+            "notes": notes,
+            "search_depth": 6,
+            "witnesses": witnesses,
+        },
+        "config": {
+            "command": "sigma",
+            "depth": 6,
+            "f": opts["--f"],
+            "g": opts["--g"],
+            "onevar": False,
+            "p": int(opts["--p"]),
+        },
+    }
 
 
 def test_sigma_onevar(capsys):

@@ -195,10 +195,10 @@ def test_system_tree_matches_direct_scan():
             if f.evaluate(x, y) % q == 0 and j.evaluate(x, y) % q == 0
         ]
 
-    classes = direct(1)
+    xs, ys = (np.array(c, dtype=np.int64) for c in zip(*direct(1)))
     for k in (1, 2):
-        classes = _extend_classes([f, j], classes, 5, k, budget=200_000)
-        assert sorted(classes) == direct(k + 1)
+        xs, ys = _extend_classes([f, j], xs, ys, 5, k, budget=200_000)
+        assert sorted(zip(xs.tolist(), ys.tolist())) == direct(k + 1)
 
 
 def test_digit_pair_step_keeps_class_order_across_blocks():
@@ -224,7 +224,7 @@ def test_digit_pair_step_keeps_class_order_across_blocks():
 def test_system_tree_budget():
     f = parse_poly("y - x^2")
     with pytest.raises(BudgetError):
-        _extend_classes([f], [(0, 0), (1, 1)], 5, 1, budget=10)
+        _extend_classes([f], np.array([0, 1]), np.array([0, 1]), 5, 1, budget=10)
 
 
 # -- serialization ---------------------------------------------------------------------

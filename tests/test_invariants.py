@@ -9,12 +9,15 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsums.expsums import PhaseSpec, SumRecord, decay_records, sum_curve
 from padicsums.counting import lift_points
 from padicsums.invariants import (
     ContactInconclusiveError,
+    CurveDepthReport,
     DepthBound,
     WeightConstantError,
     contact_exponent,
@@ -26,8 +29,10 @@ from padicsums.invariants import (
     write_decay_csv,
     write_decay_json,
 )
-from padicsums.padic import valuation
-from padicsums.polynomials import parse_poly, parse_univariate
+from padicsums import invariants
+from padicsums.invariants import _HIT_SIEVE, _exact_hits, _refuted
+from padicsums.padic import _int_valuation, valuation
+from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import certify_point
 
 
@@ -81,6 +86,47 @@ def test_curve_depth_reports():
     double = curve_depth(parse_poly("y^2 - 2*x^2*y + x^4"), 3)
     assert not double.complete  # (y - x^2)^2: depth unbounded along the curve
     assert double.max_depth == double.probe_level
+
+
+def scalar_curve_depth(f, p, probe):
+    """curve_depth as one point_depth call per point: the reference."""
+    level = 2 * probe
+    best, witness, complete = 0, None, True
+    for x, y in lift_points(f, p, level).pairs():
+        d = point_depth(f, certify_point(f, x, y, p, level))
+        if not d.exact:
+            complete = False
+        if d.value > best:
+            best, witness = d.value, (x, y)
+    return CurveDepthReport(best, level, complete, witness)
+
+
+@pytest.mark.parametrize(
+    "curve,p,probe,want",
+    [
+        ("y^2 - x^3", 5, 2, (4, False, (0, 0))),
+        ("y^2 - x^3", 5, 3, (6, False, (0, 0))),
+        ("y^2 - x^3 - 25", 5, 2, (1, True, (0, 5))),
+        ("y^2 - x^3 - 49", 7, 2, (1, True, (0, 7))),
+        ("y - x^2 + 3*x*y", 5, 2, (0, True, None)),
+        ("x^2 + 3*y^2 + 3", 3, 2, (0, True, None)),  # no points mod 9
+        # the first point has x = 0; the node sits at (3, 7)
+        ("y^2 - (x - 3)^3 - 49", 7, 2, (1, True, (3, 7))),
+    ],
+)
+def test_curve_depth_matches_the_scalar_loop(curve, p, probe, want):
+    f = parse_poly(curve)
+    report = curve_depth(f, p, probe)
+    assert report == scalar_curve_depth(f, p, probe)
+    assert (report.max_depth, report.complete, report.witness) == want
+    if report.witness == (3, 7):
+        assert lift_points(f, p, 2 * probe).pairs()[0][0] == 0
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_curve_depth_rejects_a_non_prime(p):
+    with pytest.raises(ValueError, match="p must be prime"):
+        curve_depth(parse_poly("y - x^2"), p)
 
 
 # -- contact orders -------------------------------------------------------------
@@ -285,6 +331,132 @@ def test_exponent_budget_exhaustion_is_heuristic_not_fatal():
     cert = contact_exponent(parse_poly("y - x^4"), parse_poly("y"), 2, budget=3)
     assert cert.confidence == "heuristic"
     assert any("budget" in note for note in cert.notes)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_exponent_rejects_a_non_prime(p):
+    # p = 1 made the valuation loop run forever
+    with pytest.raises(ValueError, match="p must be prime"):
+        contact_exponent(parse_poly("y - x^3"), parse_poly("y"), p)
+
+
+def scalar_refutes(jac, x0, y0, p, k):
+    """True when one monomial of jac dominates on the class (x0, y0) mod p^k.
+
+    The per-class reference for the array refutation: a nonzero
+    representative pins v(x) on every lift, a zero one only bounds it below
+    by k; a unique exact minimum with every bound above it forces v(jac)
+    finite on the whole class.
+    """
+    vx = None if x0 == 0 else _int_valuation(x0, p)
+    vy = None if y0 == 0 else _int_valuation(y0, p)
+    exact, bounds = [], []
+    for (i, j), c in jac.terms.items():
+        total = (
+            _int_valuation(c, p)
+            + (0 if i == 0 else i * (vx if vx is not None else k))
+            + (0 if j == 0 else j * (vy if vy is not None else k))
+        )
+        if (i == 0 or vx is not None) and (j == 0 or vy is not None):
+            exact.append(total)
+        else:
+            bounds.append(total)
+    if not exact or exact.count(min(exact)) != 1:
+        return False
+    return not bounds or min(bounds) > min(exact)
+
+
+@st.composite
+def jacobian_and_classes(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(min_value=1, max_value=8))
+    unit = st.integers(min_value=1, max_value=40).filter(lambda c: c % p)
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.tuples(unit, st.integers(0, 4), st.booleans()).map(
+                lambda t: (-1 if t[2] else 1) * t[0] * p ** t[1]
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    # representatives p^a * u mod p^k; a = k gives the zero class
+    rep = st.tuples(st.integers(0, k), unit).map(lambda t: p ** t[0] * t[1] % p**k)
+    classes = draw(st.lists(st.tuples(rep, rep), min_size=1, max_size=12))
+    return BiPoly(terms), classes, p, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(jacobian_and_classes(), st.sampled_from([np.int64, object]))
+def test_array_refutation_matches_the_scalar_reference(case, dtype):
+    jac, classes, p, k = case
+    xs = np.array([x for x, _ in classes], dtype=dtype)
+    ys = np.array([y for _, y in classes], dtype=dtype)
+    want = [scalar_refutes(jac, x, y, p, k) for x, y in classes]
+    assert _refuted(jac, xs, ys, p, k).tolist() == want
+
+
+def test_refutation_bounds_a_zero_representative_by_the_level():
+    # J = 5 - 2x for y - x^2 + 6x - 9 and x + y - 3: on the class x = 0 mod 5
+    # the term -2x is only bounded by v >= 1, which ties with v(5) = 1, so
+    # the class holding the critical point x = 5/2 must stay open.
+    f, g = parse_poly("y - x^2 + 6*x - 9"), parse_poly("x + y - 3")
+    jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
+    assert jac == parse_poly("5 - 2*x")
+    xs, ys = np.array([0, 1]), np.array([4, 4])
+    assert not scalar_refutes(jac, 0, 4, 5, 1)
+    assert _refuted(jac, xs, ys, 5, 1).tolist() == [False, True]
+
+
+@pytest.mark.parametrize(
+    "curve,weight,level", [("y - x^2", "x + y", 1), ("5*y - x^2", "y", 3)]
+)
+def test_newton_gate_admits_a_class_at_the_first_level_it_can(
+    monkeypatch, curve, weight, level
+):
+    # det = f_x J_y - f_y J_x is 2, then 10, at the critical point: with
+    # v(det) = t the Newton hypothesis holds from level 2t + 1 on, and the
+    # gate det != 0 mod p^((k+1)//2) must neither delay nor anticipate it
+    calls = []
+    real = invariants._newton_certify
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args[6], out is not None))
+        return out
+
+    monkeypatch.setattr(invariants, "_newton_certify", spy)
+    cert = contact_exponent(parse_poly(curve), parse_poly(weight), 5)
+    assert [w.certified_by for w in cert.witnesses] == ["hensel-unique"]
+    assert min(k for k, _ in calls) == level and (level, True) in calls
+
+
+def scalar_exact_hit(f, jac, x0, y0, q):
+    for c, (x, y) in enumerate([(x0, y0), (x0, y0 - q), (x0 - q, y0), (x0 - q, y0 - q)]):
+        if f.evaluate(x, y) == 0 and jac.evaluate(x, y) == 0:
+            return c
+    return -1
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_exact_hits_match_the_scalar_search(dtype):
+    q = 7**3
+    # f = x - a, jac = y - b meet at (a, b); the class (a mod q, b mod q)
+    # finds it as candidate 0-3 depending on the signs, others find nothing
+    for a, b, want_hit in ((1, 2, 0), (1, -1, 1), (-2, 5, 2), (-1, -3, 3)):
+        f, jac = BiPoly.variable("x") - a, BiPoly.variable("y") - b
+        classes = [(a % q, b % q), (a % q, (b + 1) % q), (0, 0), (q - 1, q - 1)]
+        xs = np.array([x for x, _ in classes], dtype=dtype)
+        ys = np.array([y for _, y in classes], dtype=dtype)
+        want = [scalar_exact_hit(f, jac, x, y, q) for x, y in classes]
+        assert want[:2] == [want_hit, -1]
+        assert _exact_hits(f, jac, xs, ys, q).tolist() == want
+    # x - 3 - _HIT_SIEVE passes the int64 sieve at x = 3 but is not zero there
+    f, jac = parse_poly(f"x - 3 - {_HIT_SIEVE}"), parse_poly("y")
+    assert f.evaluate(3, 0) % _HIT_SIEVE == 0
+    xs, ys = np.array([3], dtype=dtype), np.array([0], dtype=dtype)
+    assert _exact_hits(f, jac, xs, ys, q).tolist() == [-1]
 
 
 # -- one-variable exponent -----------------------------------------------------------
