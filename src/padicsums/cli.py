@@ -7,9 +7,13 @@ Subcommands:
   sigma   compute the oscillation exponent certificate (JSON)
   param   branch parametrization at a point, optionally a restricted sum
 
-Every option can also be supplied through --config FILE (key=value lines,
-'#' comments); explicit flags win.  Outputs embed the resolved configuration
-and use 15 significant digits, so identical configurations produce
+Each option is declared once, in _OPTIONS; each subcommand in _COMMANDS lists
+the options it takes, the ones it requires and its own defaults.  The parser
+is built from these tables once per process, on the first main() call.
+Options can also come from --config FILE (key=value lines, '#' comments);
+explicit flags win.  Config values go through the same parser as flags, so
+they are checked the same way.  Outputs embed the resolved configuration and
+use 15 significant digits, so identical configurations produce
 byte-identical files.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -70,25 +75,33 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_CONFIG_CASTS = {
-    "p": int,
-    "u": int,
-    "depth": int,
-    "budget": int,
-    "order": int,
-    "precision": int,
-    "l": int,
-    "sigma": int,
-    "level": int,
-    "tolerance": float,
-    "m": str,
-    "f": str,
-    "g": str,
-    "onevar": _parse_bool,
-    "method": str,
-    "format": str,
-    "out": str,
-    "at": str,
+_OPTIONS = {
+    "p": {"type": int, "help": "prime p"},
+    "config": {"help": "key=value defaults file"},
+    "out": {"help": "output file (default stdout)"},
+    "budget": {
+        "type": int,
+        "help": "work cap: grid cells of the brute scan (points, sum --method brute) "
+        "or digit-pair tests per level of the critical-point search (verify, sigma)",
+    },
+    "m": {"help": "level m, or inclusive range a..b"},
+    "f": {"help": "curve polynomial in x, y"},
+    "g": {"help": "weight polynomial in x, y"},
+    "onevar": {
+        "action": "store_true",
+        "help": "treat --f as a one-variable polynomial in x, sum over x mod p^m",
+    },
+    "u": {"type": int, "default": 1, "help": "unit numerator of z = u/p^m"},
+    "method": {"choices": ("auto", "brute", "lift"), "default": "auto"},
+    "depth": {"type": int, "default": 6, "help": "critical-locus search depth"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "sigma": {"type": int, "help": "normalize magnitudes by p^(m(1-1/sigma))"},
+    "tolerance": {"type": float, "default": 0.05, "help": "slope tolerance"},
+    "at": {"help": "anchor point 'x,y'"},
+    "level": {"type": int, "default": 1, "help": "certification level of the anchor"},
+    "order": {"type": int, "default": 16, "help": "t-order of the series"},
+    "precision": {"type": int, "default": 16, "help": "p-adic digits carried"},
+    "l": {"type": int, "default": 0, "help": "restrict the sum to v(t) >= l"},
 }
 
 
@@ -106,8 +119,9 @@ def _parse_m_range(text: str) -> list[int]:
     return [m]
 
 
-def _load_config(path: str) -> dict:
-    values: dict[str, object] = {}
+def _load_config(path: str) -> dict[str, list[str]]:
+    """key -> the argv words that set it; the last line of a key wins."""
+    values: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -117,9 +131,12 @@ def _load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in _CONFIG_CASTS:
+            if key not in _OPTIONS or key == "config":
                 raise ValueError(f"{path}:{lineno}: unknown option {key!r}")
-            values[key] = _CONFIG_CASTS[key](value)
+            if _OPTIONS[key].get("action") == "store_true":
+                values[key] = [f"--{key}"] if _parse_bool(value) else []
+            else:
+                values[key] = [f"--{key}", value]
     return values
 
 
@@ -147,15 +164,11 @@ def _single_level(args) -> int:
 def cmd_points(args) -> int:
     f = parse_poly(args.f)
     m = _single_level(args)
-    method = args.method
-    if method == "auto":
-        method = "lift"
+    method = "lift" if args.method == "auto" else args.method
     if method == "brute":
         ps = brute_points(f, args.p, m, budget=args.budget)
-    elif method == "lift":
-        ps = lift_points(f, args.p, m)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        ps = lift_points(f, args.p, m)
     config = _resolved_config(args, ("p", "m", "f", "method", "budget"))
     config["method"] = method
     with _output(args.out) as fh:
@@ -209,7 +222,7 @@ def cmd_sum(args) -> int:
             else:
                 point_sets = (ps for ps in lift_levels(f, args.p, levels[-1]) if ps.m in levels)
             records = [sum_curve(f, g, PhaseSpec(args.p, ps.m, args.u), ps) for ps in point_sets]
-    if args.sigma:
+    if args.sigma is not None:
         records = [r.with_normalization(args.sigma) for r in records]
     _emit_records(records, args, config)
     return EXIT_OK
@@ -285,122 +298,63 @@ def cmd_param(args) -> int:
     return EXIT_OK
 
 
+# Each subcommand: (help, handler, options in --help order, its own defaults).
+# A trailing "!" makes the option required on that subcommand.  sum has no
+# --budget default: it rejects an explicit --budget unless --method brute.
+_COMMANDS = {
+    "points": ("enumerate curve points mod p^m", cmd_points,
+               "p! config out budget m! method f!", {"budget": BRUTE_BUDGET}),
+    "sum": ("evaluate sums for levels m", cmd_sum,
+            "p! config out budget m! f g onevar u method format sigma", {}),
+    "verify": ("fit |S_m| decay against the predicted exponent", cmd_verify,
+               "p! config out budget m! f g onevar u depth format tolerance",
+               {"budget": DEFAULT_SEARCH_BUDGET}),
+    "sigma": ("oscillation exponent certificate", cmd_sigma,
+              "p! config out budget f g onevar u depth", {"budget": DEFAULT_SEARCH_BUDGET}),
+    "param": ("branch parametrization at a point", cmd_param,
+              "p! config out m f! g u at! level order precision l", {}),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of _COMMANDS and _OPTIONS; one object per process."""
     parser = argparse.ArgumentParser(
         prog="padicsums",
         description="Exponential sums along plane curves over the p-adic integers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(
-        sp, *, budget=False, m=False, fg=False, onevar=False, method=False, depth=False,
-        fmt=False,
-    ):
-        sp.add_argument("--p", type=int, required=False, help="prime p")
-        sp.add_argument("--config", help="key=value defaults file")
-        sp.add_argument("--out", help="output file (default stdout)")
-        if budget:
-            sp.add_argument(
-                "--budget",
-                type=int,
-                help="work cap: grid cells of the brute scan (points, sum --method brute) "
-                "or digit-pair tests per level of the critical-point search (verify, sigma)",
-            )
-        if m:
-            sp.add_argument("--m", help="level m, or inclusive range a..b")
-        if fg:
-            sp.add_argument("--f", help="curve polynomial in x, y")
-            sp.add_argument("--g", help="weight polynomial in x, y")
-            if onevar:
-                sp.add_argument(
-                    "--onevar",
-                    action="store_true",
-                    help="treat --f as a one-variable polynomial in x, sum over x mod p^m",
-                )
-            sp.add_argument("--u", type=int, default=1, help="unit numerator of z = u/p^m")
-        if method:
-            sp.add_argument(
-                "--method", choices=("auto", "brute", "lift"), default="auto"
-            )
-        if depth:
-            sp.add_argument("--depth", type=int, default=6, help="critical-locus search depth")
-        if fmt:
-            sp.add_argument("--format", choices=("json", "csv"), default="json")
-
-    sp = sub.add_parser("points", help="enumerate curve points mod p^m")
-    common(sp, budget=True, m=True, method=True)
-    sp.add_argument("--f", help="curve polynomial in x, y")
-    sp.set_defaults(func=cmd_points, budget=BRUTE_BUDGET)
-
-    sp = sub.add_parser("sum", help="evaluate sums for levels m")
-    # no default: an explicit --budget is rejected unless --method brute
-    common(sp, budget=True, m=True, fg=True, onevar=True, method=True, fmt=True)
-    sp.add_argument("--sigma", type=int, help="normalize magnitudes by p^(m(1-1/sigma))")
-    sp.set_defaults(func=cmd_sum)
-
-    sp = sub.add_parser("verify", help="fit |S_m| decay against the predicted exponent")
-    common(sp, budget=True, m=True, fg=True, onevar=True, depth=True, fmt=True)
-    sp.add_argument("--tolerance", type=float, default=0.05, help="slope tolerance")
-    sp.set_defaults(func=cmd_verify, budget=DEFAULT_SEARCH_BUDGET)
-
-    sp = sub.add_parser("sigma", help="oscillation exponent certificate")
-    common(sp, budget=True, fg=True, onevar=True, depth=True)
-    sp.set_defaults(func=cmd_sigma, budget=DEFAULT_SEARCH_BUDGET)
-
-    sp = sub.add_parser("param", help="branch parametrization at a point")
-    common(sp, m=True, fg=True)
-    sp.add_argument("--at", required=False, help="anchor point 'x,y'")
-    sp.add_argument("--level", type=int, default=1, help="certification level of the anchor")
-    sp.add_argument("--order", type=int, default=16, help="t-order of the series")
-    sp.add_argument("--precision", type=int, default=16, help="p-adic digits carried")
-    sp.add_argument("--l", type=int, default=0, help="restrict the sum to v(t) >= l")
-    sp.set_defaults(func=cmd_param)
-
+    for command, (help_text, func, names, defaults) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name in names.split():
+            key = name.rstrip("!")
+            sp.add_argument(f"--{key}", required=name.endswith("!"), **_OPTIONS[key])
+        sp.set_defaults(func=func, **defaults)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config(argv: list[str]) -> list[str]:
     """Fold --config file values in as defaults; explicit flags still win."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
     if not known.config:
         return argv
-    values = _load_config(known.config)
-    # Insert config-derived options right after the subcommand so that any
+    # Insert the config words right after the subcommand so that any
     # explicit occurrence later in argv overrides them.
-    if not argv:
-        return argv
-    head, tail = argv[:1], argv[1:]
-    injected: list[str] = []
-    for key, value in values.items():
-        if isinstance(value, bool):
-            if value:
-                injected.append(f"--{key}")
-            continue
-        injected.extend([f"--{key}", str(value)])
-    return head + injected + tail
+    injected = [word for words in _load_config(known.config).values() for word in words]
+    return argv[:1] + injected + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config(parser, argv)
-        args = parser.parse_args(argv)
-        if getattr(args, "p", None) is None:
-            parser.error("--p is required (flag or config file)")
+        args = parser.parse_args(_apply_config(argv))
         if not is_prime(args.p):
             parser.error(f"p must be prime, got {args.p}")
-        if args.command == "points" and not args.f:
-            parser.error("points needs --f")
-        if args.command == "param" and not args.at:
-            parser.error("param needs --at")
-        needs_m = args.command in ("points", "sum", "verify") or (
-            args.command == "param" and args.g is not None
-        )
-        if needs_m and not args.m:
-            parser.error(f"{args.command} needs --m")
+        if args.command == "param" and args.g is not None and not args.m:
+            parser.error("param needs --m")
         if args.command == "param" and args.m is not None and args.g is None:
             parser.error("param takes --m only with --g, for a restricted sum")
         return args.func(args)

@@ -132,6 +132,8 @@ class SumRecord:
         return abs(self.value)
 
     def with_normalization(self, sigma: int) -> "SumRecord":
+        if sigma < 1:
+            raise ValueError(f"exponent must be >= 1, got {sigma}")
         scale = float(self.p) ** (self.m * (1.0 - 1.0 / sigma))
         return replace(self, normalized=self.magnitude / scale)
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -488,3 +492,131 @@ def test_config_file_unknown_key(tmp_path, capsys):
 def test_missing_config_file(capsys):
     code, _, _ = run(capsys, "sum", "--config", "/nonexistent.cfg", "--p", "5", "--m", "2", "--f", "y - x", "--g", "y")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("onevar = maybe", "expected a boolean, got 'maybe'"),
+        ("config = other.cfg", "unknown option 'config'"),
+        ("tolerance = 0.1", "unrecognized arguments: --tolerance 0.1"),  # a verify option
+        ("p = five", "argument --p: invalid int value: 'five'"),
+    ],
+    ids=["bad-flag", "config", "other-subcommand", "wrong-type"],
+)
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"p = 5\nm = 2\nf = y - x^2\ng = y\n{line}\n")
+    code, out, err = run(capsys, "sum", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("value,onevar", [("yes", True), ("off", False)])
+def test_config_file_flag(tmp_path, capsys, value, onevar):
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text(f"p = 5\nm = 2\nf = x^2\nonevar = {value}\n")
+    weight = () if onevar else ("--g", "y")
+    code, out, _ = run(capsys, "sum", "--config", str(cfg), *weight)
+    assert code == 0
+    assert json.loads(out)["config"]["onevar"] is onevar
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "p7.cfg"
+    cfg.write_text("p = 7\n")
+    args = ("--m", "2", "--f", "y - x^2", "--g", "y")
+    from_config = run(capsys, "sum", "--config", str(cfg), *args)
+    assert json.loads(from_config[1])["config"]["p"] == 7
+    # the file's p does not stay behind for the next call
+    code, out, err = run(capsys, "sum", *args)
+    assert (code, out) == (2, "")
+    assert "the following arguments are required: --p" in err
+    assert run(capsys, "sum", "--config", str(cfg), *args) == from_config
+    explicit = run(capsys, "sum", "--p", "5", *args)
+    assert json.loads(explicit[1])["config"]["p"] == 5
+    assert run(capsys, "sum", "--p", "5", *args) == explicit
+
+
+def test_the_parser_is_built_once_on_the_first_main_call():
+    # A fresh interpreter: importing the module builds nothing, and main()
+    # with no argv reads sys.argv like the console script does.
+    script = """
+import sys
+from padicsums import cli
+assert cli.build_parser.cache_info().currsize == 0
+sys.argv = ["padicsums", "sum", "--p", "5", "--m", "2..3", "--f", "y - x^2", "--g", "y"]
+assert cli.main() == 0
+assert cli.main(sys.argv[1:]) == 0
+assert cli.build_parser() is cli.build_parser()
+assert cli.build_parser.cache_info().misses == 1
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    once = proc.stdout[: len(proc.stdout) // 2]
+    assert proc.stdout == once * 2  # main() and main(argv) printed the same bytes
+    assert json.loads(once)["config"]["m"] == "2..3"
+
+
+@pytest.mark.parametrize(
+    "argv,config",
+    [
+        (
+            ("points", "--p", "5", "--m", "2", "--f", "y - x^2"),
+            {"budget": 10**8, "command": "points", "f": "y - x^2", "m": "2", "method": "lift",
+             "p": 5},
+        ),
+        (
+            ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y"),
+            {"command": "sum", "f": "y - x^2", "format": "json", "g": "y", "m": "2",
+             "method": "auto", "onevar": False, "p": 5, "u": 1},
+        ),
+        (
+            ("verify", "--p", "5", "--m", "2..4", "--f", "y - x^2", "--g", "y"),
+            {"command": "verify", "depth": 6, "exponent_confidence": "certified",
+             "f": "y - x^2", "format": "json", "g": "y", "m": "2..4", "onevar": False, "p": 5,
+             "tolerance": 0.05, "u": 1},
+        ),
+        (
+            ("sigma", "--p", "5", "--f", "y - x^2", "--g", "y"),
+            {"command": "sigma", "depth": 6, "f": "y - x^2", "g": "y", "onevar": False, "p": 5},
+        ),
+        (
+            ("param", "--p", "5", "--f", "y - x^2", "--at", "0,0"),
+            {"at": "0,0", "command": "param", "f": "y - x^2", "l": 0, "level": 1, "order": 16,
+             "p": 5, "precision": 16, "u": 1},
+        ),
+    ],
+    ids=["points", "sum", "verify", "sigma", "param"],
+)
+def test_minimal_argv_config_block_is_pinned(capsys, argv, config):
+    # every default a subcommand writes into its output, as each one prints it
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if argv[0] == "points":
+        printed = json.loads(read_points(io.StringIO(out))[1]["config"])
+    else:
+        printed = json.loads(out)["config"]
+    assert printed == config
+
+
+@pytest.mark.parametrize("sigma", ["0", "-2"])
+def test_sum_rejects_a_normalization_exponent_below_one(capsys, sigma):
+    code, out, err = run(
+        capsys, "sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y", "--sigma", sigma
+    )
+    assert (code, out) == (2, "")
+    assert f"exponent must be >= 1, got {sigma}" in err
+
+
+def test_sum_normalization_by_exponent_one_is_the_magnitude(capsys):
+    code, out, _ = run(
+        capsys, "sum", "--p", "5", "--m", "2..3", "--f", "y - x^2", "--g", "y", "--sigma", "1"
+    )
+    assert code == 0
+    for record in json.loads(out)["records"]:
+        assert record["normalized"] == record["magnitude"]

@@ -67,6 +67,9 @@ def test_normalization_scale():
     rec = SumRecord(5, 2, 1, "f", "g", complex(5, 0), 25)
     assert rec.with_normalization(2).normalized == pytest.approx(5 / 5.0**1)
     assert rec.with_normalization(1).normalized == pytest.approx(5.0)
+    for sigma in (0, -2):  # the same check as decay_fit
+        with pytest.raises(ValueError, match=f"exponent must be >= 1, got {sigma}"):
+            rec.with_normalization(sigma)
 
 
 # -- values against the independent oracle ---------------------------------------------
