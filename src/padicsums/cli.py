@@ -310,7 +310,7 @@ _COMMANDS = {
                "p! config out budget m! f g onevar u depth format tolerance",
                {"budget": DEFAULT_SEARCH_BUDGET}),
     "sigma": ("oscillation exponent certificate", cmd_sigma,
-              "p! config out budget f g onevar u depth", {"budget": DEFAULT_SEARCH_BUDGET}),
+              "p! config out budget f g onevar depth", {"budget": DEFAULT_SEARCH_BUDGET}),
     "param": ("branch parametrization at a point", cmd_param,
               "p! config out m f! g u at! level order precision l", {}),
 }
@@ -323,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="padicsums",
         description="Exponential sums along plane curves over the p-adic integers.",
     )
+    # --config may also come before the subcommand; _apply_config reads it
+    parser.add_argument("--config", **_OPTIONS["config"])
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, func, names, defaults) in _COMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
@@ -341,9 +343,13 @@ def _apply_config(argv: list[str]) -> list[str]:
     if not known.config:
         return argv
     # Insert the config words right after the subcommand so that any
-    # explicit occurrence later in argv overrides them.
+    # explicit occurrence later in argv overrides them.  A --config given
+    # before the subcommand is skipped with its value, which may be any word.
+    at = 0
+    while at < len(argv) and argv[at] not in _COMMANDS:
+        at += 2 if argv[at] == "--config" else 1
     injected = [word for words in _load_config(known.config).values() for word in words]
-    return argv[:1] + injected + argv[1:]
+    return argv[: at + 1] + injected + argv[at + 1 :]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -146,27 +146,30 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
 
 
 def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
-    """Full-grid oracle: test every pair in (Z/p^m)^2."""
+    """Full-grid oracle: test every pair in (Z/p^m)^2.
+
+    Every cell is evaluated exactly mod q = p^m by `BiPoly.horner`, a block
+    of x rows at a time: x enters as a column and y as a row, so the
+    x-Horner steps run once per row and only the y steps span the grid.
+    The flat index of a hit in a block starting at row x0, plus x0*q, is
+    its key x*q + y.
+    """
     q = p**m
     if q * q > budget:
         raise BudgetError(
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
     _check_vector_safe(q)
-    ys = np.arange(q, dtype=np.int64)
-    found_x, found_y = [], []
+    ys = np.arange(q, dtype=np.int64)[None, :]
     chunk = max(1, 10**6 // q)
+    keys = []
     for x0 in range(0, q, chunk):
-        xs = np.arange(x0, min(x0 + chunk, q), dtype=np.int64)
-        grid_x = np.repeat(xs, q)
-        grid_y = np.tile(ys, len(xs))
-        vals = f.horner(grid_x, grid_y, q)
-        hit = vals == 0
-        found_x.append(grid_x[hit])
-        found_y.append(grid_y[hit])
-    xs = np.concatenate(found_x) if found_x else np.empty(0, dtype=np.int64)
-    ys = np.concatenate(found_y) if found_y else np.empty(0, dtype=np.int64)
-    return PointSet(p, m, xs, ys)
+        xs = np.arange(x0, min(x0 + chunk, q), dtype=np.int64)[:, None]
+        # f mod q free of y (or x) gives one column (or row): widen the mask
+        hit = np.broadcast_to(f.horner(xs, ys, q) == 0, (len(xs), q))
+        keys.append(np.flatnonzero(hit) + x0 * q)
+    keys = np.concatenate(keys)
+    return PointSet(p, m, keys // q, keys % q)
 
 
 def _lift_tables(f: BiPoly, p: int):

@@ -522,6 +522,34 @@ def test_config_file_flag(tmp_path, capsys, value, onevar):
     assert json.loads(out)["config"]["onevar"] is onevar
 
 
+@pytest.mark.parametrize("before", [False, True], ids=["after-subcommand", "before-subcommand"])
+def test_config_file_on_either_side_of_the_subcommand(tmp_path, capsys, before):
+    # the file is named like a subcommand, so its path cannot be taken for one
+    cfg = tmp_path / "sum"
+    cfg.write_text("p = 5\nm = 2..3\nf = y - x^2\ng = y\n")
+    argv = ("--config", str(cfg), "sum") if before else ("sum", "--config", str(cfg))
+    plain = run(capsys, "sum", "--p", "5", "--m", "2..3", "--f", "y - x^2", "--g", "y")
+    assert run(capsys, *argv) == plain
+    # explicit flags still win, wherever --config stands
+    code, out, _ = run(capsys, *argv, "--p", "7")
+    assert code == 0
+    assert [r["p"] for r in json.loads(out)["records"]] == [7, 7]
+
+
+def test_sigma_rejects_the_unit_it_never_reads(tmp_path, capsys):
+    # the certificate does not depend on u, so sigma takes no --u
+    argv = ("sigma", "--p", "5", "--f", "y - x^3", "--g", "y")
+    code, out, err = run(capsys, *argv, "--u", "3")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --u 3" in err
+    cfg = tmp_path / "unit.cfg"
+    cfg.write_text("u = 3\n")
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --u 3" in err
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
     cfg = tmp_path / "p7.cfg"
     cfg.write_text("p = 7\n")

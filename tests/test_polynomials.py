@@ -84,6 +84,27 @@ def test_horner_of_constant_keeps_the_operand_shape(text):
     assert out.tolist() == [[f.evaluate(0, 0, 5)] * 3] * 2
 
 
+@pytest.mark.parametrize(
+    "text,shape",
+    [
+        ("y - x^2", (7, 25)),  # constant leading y-row: acc * y is a (1, 25) row
+        ("2*y^2 - x*y + x^3 - 1", (7, 25)),
+        ("3*x*y^2 + 4*y - x^5", (7, 25)),  # the leading y-row mod 5 is 3*x
+        ("x^2*y^3 + 5*y - x", (7, 25)),
+        ("y^2 + 7", (1, 25)),  # no x: the shape of y alone
+        ("x^3 - 2*x + 1", (7, 1)),  # no y: the shape of x alone
+    ],
+)
+@pytest.mark.parametrize("modulus", [None, 5, 25])
+def test_horner_on_broadcast_operands_matches_the_repeat_tile_grid(text, shape, modulus):
+    f = parse_poly(text)
+    xs, ys = np.arange(3, 10, dtype=np.int64), np.arange(-5, 20, dtype=np.int64)
+    out = f.horner(xs[:, None], ys[None, :], modulus)
+    assert out.shape == shape
+    flat = f.horner(np.repeat(xs, len(ys)), np.tile(ys, len(xs)), modulus)
+    assert np.array_equal(np.broadcast_to(out, (len(xs), len(ys))).ravel(), flat)
+
+
 def test_partials_are_computed_once():
     f = parse_poly("x^3*y - y^2")
     assert f.partial("x") is f.partial("x")
