@@ -523,11 +523,11 @@ def test_config_file_flag(tmp_path, capsys, value, onevar):
 
 
 @pytest.mark.parametrize("before", [False, True], ids=["after-subcommand", "before-subcommand"])
-def test_config_file_on_either_side_of_the_subcommand(tmp_path, capsys, before):
-    # the file is named like a subcommand, so its path cannot be taken for one
-    cfg = tmp_path / "sum"
-    cfg.write_text("p = 5\nm = 2..3\nf = y - x^2\ng = y\n")
-    argv = ("--config", str(cfg), "sum") if before else ("sum", "--config", str(cfg))
+def test_config_file_on_either_side_of_the_subcommand(tmp_path, monkeypatch, capsys, before):
+    # the file's path is the word "sum", so it must not be taken for the subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sum").write_text("p = 5\nm = 2..3\nf = y - x^2\ng = y\n")
+    argv = ("--config", "sum", "sum") if before else ("sum", "--config", "sum")
     plain = run(capsys, "sum", "--p", "5", "--m", "2..3", "--f", "y - x^2", "--g", "y")
     assert run(capsys, *argv) == plain
     # explicit flags still win, wherever --config stands
