@@ -48,6 +48,7 @@ from .expsums import (
 )
 from .invariants import (
     DEFAULT_SEARCH_BUDGET,
+    DEFAULT_SEARCH_DEPTH,
     ContactInconclusiveError,
     WeightConstantError,
     contact_exponent,
@@ -93,7 +94,7 @@ _OPTIONS = {
     },
     "u": {"type": int, "default": 1, "help": "unit numerator of z = u/p^m"},
     "method": {"choices": ("auto", "brute", "lift"), "default": "auto"},
-    "depth": {"type": int, "default": 6, "help": "critical-locus search depth"},
+    "depth": {"type": int, "default": DEFAULT_SEARCH_DEPTH, "help": "critical-locus search depth"},
     "format": {"choices": ("json", "csv"), "default": "json"},
     "sigma": {"type": int, "help": "normalize magnitudes by p^(m(1-1/sigma))"},
     "tolerance": {"type": float, "default": 0.05, "help": "slope tolerance"},
@@ -228,15 +229,26 @@ def cmd_sum(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def _certificate(args):
+    """(exponent certificate, parsed polynomials) of a verify or sigma run.
+
+    The polynomials are (f_one,) for --onevar and (f, g) otherwise.
+    """
     if args.onevar:
         f_one = _onevar_poly(args)
         cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
-        records = [sum_onevar(f_one, PhaseSpec(args.p, m, args.u)) for m in _parse_m_range(args.m)]
+        return cert, (f_one,)
+    f, g = _curve_and_weight(args)
+    return contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget), (f, g)
+
+
+def cmd_verify(args) -> int:
+    cert, polys = _certificate(args)
+    levels = _parse_m_range(args.m)
+    if args.onevar:
+        records = [sum_onevar(*polys, PhaseSpec(args.p, m, args.u)) for m in levels]
     else:
-        f, g = _curve_and_weight(args)
-        cert = contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget)
-        records = decay_records(f, g, args.p, _parse_m_range(args.m), u=args.u)
+        records = decay_records(*polys, args.p, levels, u=args.u)
     report = decay_fit(records, cert, tolerance=args.tolerance)
     config = _resolved_config(
         args, ("p", "m", "u", "f", "g", "onevar", "depth", "tolerance", "format")
@@ -251,12 +263,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    if args.onevar:
-        f_one = _onevar_poly(args)
-        cert = contact_exponent_onevar(f_one, args.p, depth=args.depth, budget=args.budget)
-    else:
-        f, g = _curve_and_weight(args)
-        cert = contact_exponent(f, g, args.p, depth=args.depth, budget=args.budget)
+    cert, _ = _certificate(args)
     config = _resolved_config(args, ("p", "f", "g", "onevar", "depth"))
     payload = {"config": config, "certificate": cert.to_json_dict()}
     with _output(args.out) as fh:

@@ -71,7 +71,6 @@ DEFAULT_SEARCH_DEPTH = 6
 DEFAULT_SEARCH_BUDGET = 200_000
 _PRECISION_START = 16
 _PRECISION_CAP = 256
-_ORDER_CAP = 512
 _NEWTON_WITNESS_LEVEL = 48
 _ZERO_FLOOR = 1e-8
 
@@ -235,29 +234,24 @@ def _contact_attempt(
     return ord_t(series, start=1), e, param.anchor
 
 
-def contact_order(
-    f: BiPoly,
-    g: BiPoly,
-    pt: CurvePoint,
-    *,
-    order_start: int | None = None,
-    precision_start: int = _PRECISION_START,
-    order_cap: int = _ORDER_CAP,
-    precision_cap: int = _PRECISION_CAP,
-) -> ContactOrder:
+def contact_order(f: BiPoly, g: BiPoly, pt: CurvePoint) -> ContactOrder:
     """First t-order at which g moves along the branch through the point.
 
-    Escalation policy: a run of all-zero residues doubles the t-order first
-    (the contact may simply exceed it), then the p-adic precision; a leading
-    coefficient divisible by p^(N/2) is treated as unreliable and triggers a
-    doubled N as well.  Exhausting both caps raises with the full trace.
+    At a smooth point of the branch's chart the contact order is the local
+    intersection number of f and g - g(P), which Bezout bounds by
+    deg f * deg g unless g is constant on the branch.  So the t-order is
+    fixed at T = 2 deg f deg g + 4, above that bound, and only the p-adic
+    precision N escalates: a run of all-zero residues, or a leading
+    coefficient divisible by p^(N/2), doubles N from _PRECISION_START up to
+    _PRECISION_CAP, as far as an inexact point's level backs 2N.  An all-zero
+    run at the last N raises with the full trace; a low-confidence order
+    there is returned with `confident` False.
     """
     if g.is_constant:
         raise WeightConstantError("weight polynomial is constant")
-    T = order_start or (2 * max(1, f.degree()) * max(1, g.degree()) + 4)
-    N = precision_start
+    T = 2 * max(1, f.degree()) * max(1, g.degree()) + 4
+    N = _PRECISION_START
     trace: list[str] = []
-    best: tuple[SeriesOrder, int, CurvePoint] | None = None
     while True:
         try:
             found, scale, anchor = _contact_attempt(f, g, pt, T, N)
@@ -266,31 +260,24 @@ def contact_order(
             raise ContactInconclusiveError(
                 "cannot parametrize at the requested precision", trace
             ) from exc
+        if found is not None and found.confident:
+            break
         if found is None:
             trace.append(f"T={T} N={N}: all residues zero")
-            if T < order_cap:
-                T = min(2 * T, order_cap)
-                continue
-            if N < precision_cap and (pt.exact or 2 * N <= pt.level):
-                N = min(2 * N, precision_cap)
-                continue
-            raise ContactInconclusiveError(
-                "contact order undecided at the caps (weight may be constant "
-                "along this branch)",
-                trace,
+        else:
+            trace.append(
+                f"T={T} N={N}: order {found.order} with leading valuation "
+                f"{found.leading_val} (low confidence)"
             )
-        if found.confident:
-            return ContactOrder(found.order, found.leading_val, scale, True, anchor, tuple(trace))
-        trace.append(
-            f"T={T} N={N}: order {found.order} with leading valuation "
-            f"{found.leading_val} (low confidence)"
+        if N == _PRECISION_CAP or not (pt.exact or 2 * N <= pt.level):
+            break
+        N *= 2
+    if found is None:
+        raise ContactInconclusiveError(
+            "contact order undecided at the caps (weight may be constant along this branch)",
+            trace,
         )
-        best = (found, scale, anchor)
-        if N < precision_cap and (pt.exact or 2 * N <= pt.level):
-            N = min(2 * N, precision_cap)
-            continue
-        found, scale, anchor = best
-        return ContactOrder(found.order, found.leading_val, scale, False, anchor, tuple(trace))
+    return ContactOrder(found.order, found.leading_val, scale, found.confident, anchor, tuple(trace))
 
 
 # -- the oscillation exponent ----------------------------------------------------
@@ -327,7 +314,9 @@ class ExponentCertificate:
     confidence == "certified" means every candidate class in the critical
     locus search was either witnessed by a lifted critical point or refuted;
     "heuristic" admits unresolved classes at the depth/budget limits, so the
-    exponent is a certified lower bound that the reported sums still obey.
+    exponent is a certified lower bound that the reported sums still obey,
+    or a witness whose contact order is low-confidence (its leading
+    coefficient divisible by p^(N/2) at the last precision N).
     """
 
     exponent: int
@@ -476,9 +465,6 @@ def contact_exponent(
     *,
     depth: int = DEFAULT_SEARCH_DEPTH,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    precision_start: int = _PRECISION_START,
-    order_cap: int = _ORDER_CAP,
-    precision_cap: int = _PRECISION_CAP,
 ) -> ExponentCertificate:
     """Largest contact order of g at a Z_p critical point of the curve.
 
@@ -523,29 +509,27 @@ def contact_exponent(
     det = f.partial("x") * jac.partial("y") - f.partial("y") * jac.partial("x")
 
     witnesses: list[Witness] = []
-    attempted = inconclusive = unparametrized = 0
+    attempted = inconclusive = unparametrized = doubtful = 0
 
     def measure(x: int, y: int, level: int, how: str) -> None:
-        nonlocal attempted, inconclusive, unparametrized
+        nonlocal attempted, inconclusive, unparametrized, doubtful
         attempted += 1
         pt = certify_point(f, x, y, p, level)
+        shown = min(level, 4)
+        where = f"({x % p**shown}, {y % p**shown}) mod p^{shown}"
         try:
-            result = contact_order(
-                f,
-                g,
-                pt,
-                precision_start=precision_start,
-                order_cap=order_cap,
-                precision_cap=precision_cap,
-            )
+            result = contact_order(f, g, pt)
         except ContactInconclusiveError as exc:
             inconclusive += 1
             unparametrized += isinstance(exc.__cause__, HenselPreconditionError)
-            notes.append(
-                f"contact order at ({x % p**min(level, 4)}, {y % p**min(level, 4)}) "
-                f"mod p^{min(level, 4)} undecided at the precision caps"
-            )
+            notes.append(f"contact order at {where} undecided at the precision caps")
             return
+        if not result.confident:
+            doubtful += 1
+            notes.append(
+                f"contact order {result.order} at {where} has a leading coefficient "
+                f"of valuation {result.leading_val}, low confidence at the precision caps"
+            )
         witnesses.append(
             Witness(
                 x=pt.x,
@@ -604,7 +588,7 @@ def contact_exponent(
             "the weight moving: the weight is constant on the curve"
         )
 
-    confidence = "certified" if not len(xs) else "heuristic"
+    confidence = "certified" if not len(xs) and not doubtful else "heuristic"
     if len(xs):
         notes.append(f"{len(xs)} candidate class(es) unresolved at depth {k}")
     exponent = max([1] + [w.order for w in witnesses])

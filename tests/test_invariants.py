@@ -162,20 +162,37 @@ def test_contact_through_blowup_chart():
     assert got_y.confident
 
 
-def test_contact_escalates_order_cap_and_records_trace():
-    f = parse_poly("y - x^10")
+@pytest.mark.parametrize("k", [10, 40])
+def test_contact_order_found_on_the_first_attempt(k):
+    # the starting t-order 2 deg f deg g + 4 exceeds the Bezout bound
+    # deg f * deg g, so a high contact order needs no second attempt
+    f = parse_poly(f"y - x^{k}")
     pt = certify_point(f, 0, 0, 3, 1)
-    got = contact_order(f, parse_poly("y"), pt, order_start=4)
-    assert got.order == 10
-    assert any("all residues zero" in line for line in got.trace)
+    got = contact_order(f, parse_poly("y"), pt)
+    assert (got.order, got.leading_val, got.confident) == (k, 0, True)
+    assert got.trace == ()
 
 
 def test_contact_inconclusive_when_weight_constant_on_branch():
+    # only the precision escalates: one t-order, N = 16 .. 256
     f = parse_poly("y - x^2")
     pt = certify_point(f, 0, 0, 5, 1)
     with pytest.raises(ContactInconclusiveError) as exc:
-        contact_order(f, f, pt, order_start=4, order_cap=8, precision_cap=32)
-    assert exc.value.trace
+        contact_order(f, f, pt)
+    assert exc.value.trace == tuple(
+        f"T=12 N={n}: all residues zero" for n in (16, 32, 64, 128, 256)
+    )
+
+
+def test_contact_low_confidence_when_the_level_stops_escalation():
+    # (0, 5^20) is on the curve only mod 5^20, so N = 16 cannot double; the
+    # leading coefficient 5^8 of 5^8*t + t^2 is divisible by 5^(16/2)
+    f = parse_poly("y - x^2")
+    pt = certify_point(f, 0, 5**20, 5, 20)
+    assert not pt.exact
+    got = contact_order(f, parse_poly("5^8*x + x^2"), pt)
+    assert (got.order, got.leading_val, got.confident) == (1, 8, False)
+    assert got.trace == ("T=12 N=16: order 1 with leading valuation 8 (low confidence)",)
 
 
 def test_contact_rejects_constant_weight():
@@ -192,7 +209,7 @@ def test_contact_needs_enough_certification_for_inexact_points():
     shallow = certify_point(f, 0, 5 + 125, 5, 3)
     assert not shallow.exact
     with pytest.raises(ContactInconclusiveError):
-        contact_order(f, parse_poly("x"), shallow, precision_start=16)
+        contact_order(f, parse_poly("x"), shallow)
 
 
 # -- oscillation exponent ----------------------------------------------------------
@@ -293,13 +310,7 @@ def test_exponent_rejects_identically_critical_pair():
 def test_exponent_detects_weight_vanishing_on_curve():
     # g = x*(y - x^2) is zero on every branch but J is a nonzero polynomial
     with pytest.raises(WeightConstantError):
-        contact_exponent(
-            parse_poly("y - x^2"),
-            parse_poly("x*y - x^3"),
-            3,
-            order_cap=16,
-            precision_cap=32,
-        )
+        contact_exponent(parse_poly("y - x^2"), parse_poly("x*y - x^3"), 3)
 
 
 @pytest.mark.parametrize(
@@ -483,6 +494,16 @@ def test_onevar_notes_roots_outside_zp():
     cert = contact_exponent_onevar(parse_univariate("x^3 + 3*x"), 3)
     assert cert.exponent == 1
     assert any("outside Z_p" in note for note in cert.notes)
+
+
+def test_onevar_low_confidence_witness_is_heuristic():
+    # the exact critical point 0 has order 2, but its leading coefficient
+    # 5^130 is divisible by 5^(256/2) even at the last precision
+    cert = contact_exponent_onevar(parse_univariate("5^130*x^2"), 5)
+    (w,) = cert.witnesses
+    assert (w.order, w.leading_val, w.certified_by) == (2, 130, "exact-point")
+    assert cert.confidence == "heuristic"
+    assert any("low confidence" in note for note in cert.notes)
 
 
 def test_onevar_rejects_bivariate():
