@@ -82,8 +82,8 @@ _OPTIONS = {
     "out": {"help": "output file (default stdout)"},
     "budget": {
         "type": int,
-        "help": "work cap: grid cells of the brute scan (points, sum --method brute) "
-        "or digit-pair tests per level of the critical-point search (verify, sigma)",
+        "help": "work cap: grid cells of the brute scan (points and sum, --method brute "
+        "only) or digit-pair tests per level of the critical-point search (verify, sigma)",
     },
     "m": {"help": "level m, or inclusive range a..b"},
     "f": {"help": "curve polynomial in x, y"},
@@ -162,16 +162,26 @@ def _single_level(args) -> int:
     return levels[0]
 
 
+def _brute_budget(args, method: str) -> int:
+    """The grid cap of the brute scan; no other method reads --budget."""
+    if args.budget is not None and method != "brute":
+        raise ValueError(
+            f"{args.command} takes --budget only with --method brute, whose grid scan it caps"
+        )
+    return BRUTE_BUDGET if args.budget is None else args.budget
+
+
 def cmd_points(args) -> int:
     f = parse_poly(args.f)
     m = _single_level(args)
     method = "lift" if args.method == "auto" else args.method
+    budget = _brute_budget(args, method)
     if method == "brute":
-        ps = brute_points(f, args.p, m, budget=args.budget)
+        ps = brute_points(f, args.p, m, budget=budget)
     else:
         ps = lift_points(f, args.p, m)
-    config = _resolved_config(args, ("p", "m", "f", "method", "budget"))
-    config["method"] = method
+    config = _resolved_config(args, ("p", "m", "f"))
+    config.update(method=method, budget=budget)
     with _output(args.out) as fh:
         write_points(ps, f, fh, extra_header={"config": json.dumps(config, sort_keys=True)})
     return EXIT_OK
@@ -204,8 +214,7 @@ def cmd_sum(args) -> int:
     config = _resolved_config(
         args, ("p", "m", "u", "f", "g", "onevar", "method", "format", "sigma")
     )
-    if args.budget is not None and args.method != "brute":
-        raise ValueError("sum takes --budget only with --method brute, whose grid scan it caps")
+    budget = _brute_budget(args, args.method)
     if args.onevar:
         if args.method != "auto":
             raise ValueError("sum --onevar takes no --method: it has no brute or lift route")
@@ -218,7 +227,6 @@ def cmd_sum(args) -> int:
         else:
             # The oracles: sum_curve over every point of each Y_m.
             if args.method == "brute":
-                budget = BRUTE_BUDGET if args.budget is None else args.budget
                 point_sets = (brute_points(f, args.p, m, budget=budget) for m in levels)
             else:
                 point_sets = (ps for ps in lift_levels(f, args.p, levels[-1]) if ps.m in levels)
@@ -281,9 +289,11 @@ def cmd_param(args) -> int:
         raise ValueError(f"--at expects 'x,y' integers, got {args.at!r}") from exc
     pt = certify_point(f, x0, y0, args.p, args.level)
     param = hensel_param(f, pt, order=args.order, precision=args.precision)
-    config = _resolved_config(
-        args, ("p", "f", "at", "level", "order", "precision", "g", "m", "u", "l")
-    )
+    # main() lets --u and --l through only with --g; the config shows their defaults
+    u = _OPTIONS["u"]["default"] if args.u is None else args.u
+    l = _OPTIONS["l"]["default"] if args.l is None else args.l
+    config = _resolved_config(args, ("p", "f", "at", "level", "order", "precision", "g", "m"))
+    config.update(u=u, l=l)
     payload = {
         "config": config,
         "parametrization": {
@@ -296,8 +306,8 @@ def cmd_param(args) -> int:
     }
     if args.g is not None:
         g = parse_poly(args.g)
-        phase = PhaseSpec(args.p, _single_level(args), args.u)
-        record = sum_parametric(param, g, args.l, phase)
+        phase = PhaseSpec(args.p, _single_level(args), u)
+        record = sum_parametric(param, g, l, phase)
         payload["sum"] = record.to_json_dict()
     with _output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -306,11 +316,12 @@ def cmd_param(args) -> int:
 
 
 # Each subcommand: (help, handler, options in --help order, its own defaults).
-# A trailing "!" makes the option required on that subcommand.  sum has no
-# --budget default: it rejects an explicit --budget unless --method brute.
+# A trailing "!" makes the option required on that subcommand.  points and
+# sum have no --budget default: they reject an explicit --budget unless
+# --method brute.  param has no --u or --l default: they need --g.
 _COMMANDS = {
     "points": ("enumerate curve points mod p^m", cmd_points,
-               "p! config out budget m! method f!", {"budget": BRUTE_BUDGET}),
+               "p! config out budget m! method f!", {}),
     "sum": ("evaluate sums for levels m", cmd_sum,
             "p! config out budget m! f g onevar u method format sigma", {}),
     "verify": ("fit |S_m| decay against the predicted exponent", cmd_verify,
@@ -319,7 +330,7 @@ _COMMANDS = {
     "sigma": ("oscillation exponent certificate", cmd_sigma,
               "p! config out budget f g onevar depth", {"budget": DEFAULT_SEARCH_BUDGET}),
     "param": ("branch parametrization at a point", cmd_param,
-              "p! config out m f! g u at! level order precision l", {}),
+              "p! config out m f! g u at! level order precision l", {"u": None, "l": None}),
 }
 
 
@@ -368,8 +379,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"p must be prime, got {args.p}")
         if args.command == "param" and args.g is not None and not args.m:
             parser.error("param needs --m")
-        if args.command == "param" and args.m is not None and args.g is None:
-            parser.error("param takes --m only with --g, for a restricted sum")
+        if args.command == "param" and args.g is None:
+            for key in ("m", "u", "l"):
+                if getattr(args, key) is not None:
+                    parser.error(f"param takes --{key} only with --g, for a restricted sum")
         return args.func(args)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize None to 0

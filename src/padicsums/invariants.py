@@ -695,6 +695,8 @@ def decay_fit(
         sigma = exponent
     if sigma < 1:
         raise ValueError(f"exponent must be >= 1, got {sigma}")
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
     if not records:
         raise ValueError("no records to fit")
     p = records[0].p
@@ -708,35 +710,25 @@ def decay_fit(
     zero_levels = tuple(r.m for r in normalized if _is_zero_magnitude(r))
     live = [r for r in normalized if not _is_zero_magnitude(r)]
 
-    a_estimate = max((r.normalized for r in normalized), default=0.0)
-    if not live:
-        return DecayReport(
-            exponent=sigma,
-            predicted_exponent=predicted,
-            fitted_slope=None,
-            a_estimate=0.0,
-            tolerance=tolerance,
-            passed=True,
-            all_zero=True,
-            zero_levels=zero_levels,
-            records=normalized,
-        )
-    if len(live) < 3:
-        raise ValueError(
-            f"need at least 3 nonzero magnitudes for a slope fit, got {len(live)}"
-        )
-    ms = np.array([r.m for r in live], dtype=float)
-    logs = np.array([math.log(r.magnitude, p) for r in live])
-    slope = float(np.polyfit(ms, logs, 1)[0])
-    passed = slope <= predicted + tolerance and math.isfinite(a_estimate)
+    slope = None
+    a_estimate = 0.0
+    if live:
+        if len(live) < 3:
+            raise ValueError(
+                f"need at least 3 nonzero magnitudes for a slope fit, got {len(live)}"
+            )
+        ms = np.array([r.m for r in live], dtype=float)
+        logs = np.array([math.log(r.magnitude, p) for r in live])
+        slope = float(np.polyfit(ms, logs, 1)[0])
+        a_estimate = max(r.normalized for r in normalized)
     return DecayReport(
         exponent=sigma,
         predicted_exponent=predicted,
         fitted_slope=slope,
         a_estimate=a_estimate,
         tolerance=tolerance,
-        passed=passed,
-        all_zero=False,
+        passed=slope is None or (slope <= predicted + tolerance and math.isfinite(a_estimate)),
+        all_zero=not live,
         zero_levels=zero_levels,
         records=normalized,
     )

@@ -4,8 +4,10 @@ A series is a fixed-length coefficient vector c_0..c_T with entries reduced
 mod p^n; every ring operation is exact in that quotient.  `hensel_param`
 produces the branch of a plane curve through a point where one partial
 derivative is a unit, by Newton iteration on series that doubles the t-order
-each step, and asserts the residual f(branch(t)) == 0 mod (p^n, t^(T+1))
-on every call.  `rescale_srp` implements the blow-up substitution
+each step.  The inverse of the solved-for partial along the branch is carried
+along and refined by its own Newton step at each doubling, so no step inverts
+a series.  The residual f(branch(t)) == 0 mod (p^n, t^(T+1)) is asserted on
+every call.  `rescale_srp` implements the blow-up substitution
 (x, y) -> (p^(e+1) x, p^(e+1) y) followed by exact division by p^(2e+1),
 which turns a point of depth e into an origin of depth 0 whose equation has
 coefficient valuations growing at least linearly in the degree (the
@@ -99,18 +101,12 @@ class TruncSeries:
             raise ValueError("mixed series precisions")
         return min(self.order_cap, other.order_cap)
 
-    def truncated(self, order: int) -> "TruncSeries":
-        if order >= self.order_cap:
-            return self
-        return TruncSeries(self.coeffs[: order + 1], self.p, self.n)
-
     def padded(self, order: int) -> "TruncSeries":
-        """Extend with zero coefficients; only sound as an iteration seed."""
-        if order <= self.order_cap:
-            return self.truncated(order)
-        return TruncSeries(
-            self.coeffs + (0,) * (order - self.order_cap), self.p, self.n
-        )
+        """Cut or zero-extend to t-order `order`; extending is only sound as a seed."""
+        if order == self.order_cap:
+            return self
+        coeffs = self.coeffs[: order + 1]
+        return TruncSeries(coeffs + (0,) * (order + 1 - len(coeffs)), self.p, self.n)
 
     # -- arithmetic ------------------------------------------------------------
 
@@ -155,27 +151,6 @@ class TruncSeries:
         return TruncSeries(tuple(out), self.p, self.n)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "TruncSeries":
-        """Multiplicative inverse; the constant term must be a unit."""
-        if self.constant % self.p == 0:
-            raise SeriesPrecisionError("constant term is not a unit, cannot invert")
-        mod = self.modulus
-        top = self.order_cap
-        inv = TruncSeries((pow(self.constant, -1, mod),), self.p, self.n)
-        order = 0
-        while order < top:
-            order = min(2 * order + 1, top)
-            inv = inv.padded(order)
-            inv = inv * (2 - (self.truncated(order) * inv))
-        return inv.padded(top)
-
-    def __str__(self):
-        return (
-            "t-series mod "
-            + f"(p^{self.n}, t^{self.order_cap + 1}) with p={self.p}: "
-            + ", ".join(str(c) for c in self.coeffs)
-        )
 
 
 class SeriesOrder(NamedTuple):
@@ -410,8 +385,12 @@ def hensel_param(
     # Seed: first-order solution h = -(f_free/f_solved)(anchor) * t.
     free0 = f_free.evaluate(anchor.x, anchor.y, mod)
     solved0 = f_solved.evaluate(anchor.x, anchor.y, mod)
-    slope = (-free0 * pow(solved0, -1, mod)) % mod
+    inv0 = pow(solved0, -1, mod)
+    slope = (-free0 * inv0) % mod
     h = TruncSeries.from_coeffs([0, slope], p, n)
+    # w ~ 1/f_solved(branch), refined by one Newton step per doubling; the step
+    # of h needs it only to about half the new t-order, which that step reaches
+    w = TruncSeries((inv0,), p, n)
 
     cur = 1
     steps = 0
@@ -425,7 +404,9 @@ def hensel_param(
             raise RuntimeError("series Newton failed to converge (unreachable)")
         cur = min(2 * cur, order)
         branch = Parametrization(anchor, h.padded(cur), solve_for)
-        h = branch.series - branch.residual(f) * branch.compose_poly(f_solved).inverse()
+        w = w.padded(cur)
+        w = w * (2 - branch.compose_poly(f_solved) * w)
+        h = branch.series - branch.residual(f) * w
 
     if param.series.constant != 0:
         raise RuntimeError("internal error: parametrization does not fix the anchor")

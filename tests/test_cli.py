@@ -51,6 +51,17 @@ def test_verify_pass_and_fail_codes(capsys):
     assert json.loads(out)["report"]["passed"] is False
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "nan"])
+def test_verify_rejects_a_tolerance_that_is_not_finite(capsys, tolerance):
+    # inf passed every fit, and nan failed every fit and wrote NaN into the JSON
+    code, out, err = run(
+        capsys, "verify", "--p", "5", "--m", "3..5", "--f", "y - x^2", "--g", "y",
+        "--tolerance", tolerance,
+    )
+    assert (code, out) == (2, "")
+    assert f"tolerance must be finite, got {tolerance}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -229,8 +240,14 @@ def test_param_rejects_options_it_does_not_read(capsys, flag):
 
 @pytest.mark.parametrize(
     "flags,message",
-    [(("--m", "5", "--l", "2"), "param takes --m only with --g"), (("--g", "y"), "param needs --m")],
-    ids=["m-without-g", "g-without-m"],
+    [
+        (("--m", "5", "--l", "2"), "param takes --m only with --g"),
+        (("--g", "y"), "param needs --m"),
+        # --u and --l only shape the restricted sum
+        (("--u", "2"), "param takes --u only with --g"),
+        (("--l", "0"), "param takes --l only with --g"),
+    ],
+    ids=["m-without-g", "g-without-m", "u-without-g", "l-without-g"],
 )
 def test_param_takes_g_and_m_only_together(capsys, flags, message):
     code, out, err = run(capsys, "param", "--p", "5", "--f", "y - x^2", "--at", "0,0", *flags)
@@ -297,15 +314,29 @@ def test_sum_onevar_rejects_an_oracle_method(capsys, method):
 
 
 @pytest.mark.parametrize(
-    "extra",
-    [(), ("--method", "auto"), ("--method", "lift"), ("--onevar",)],
-    ids=["default", "auto", "lift", "onevar"],
+    "command,extra",
+    [
+        ("sum", ()),
+        ("sum", ("--method", "auto")),
+        ("sum", ("--method", "lift")),
+        ("sum", ("--onevar",)),
+        # points --method lift|auto ran uncapped and printed the unread budget
+        ("points", ()),
+        ("points", ("--method", "auto")),
+        ("points", ("--method", "lift")),
+    ],
+    ids=["default", "auto", "lift", "onevar", "points-default", "points-auto", "points-lift"],
 )
-def test_sum_rejects_budget_without_brute(capsys, extra):
-    fg = ("--f", "x^2") if "--onevar" in extra else ("--f", "y - x^2", "--g", "y")
-    code, out, err = run(capsys, "sum", "--p", "5", "--m", "2", *fg, *extra, "--budget", "10")
+def test_sum_rejects_budget_without_brute(capsys, command, extra):
+    if command == "points":
+        fg = ("--f", "y - x^2")
+    elif "--onevar" in extra:
+        fg = ("--f", "x^2")
+    else:
+        fg = ("--f", "y - x^2", "--g", "y")
+    code, out, err = run(capsys, command, "--p", "5", "--m", "2", *fg, *extra, "--budget", "10")
     assert (code, out) == (2, "")
-    assert "sum takes --budget only with --method brute" in err
+    assert f"{command} takes --budget only with --method brute" in err
 
 
 def test_sum_budget_caps_the_brute_scan(capsys):

@@ -571,6 +571,9 @@ def test_decay_fit_validation():
     mixed = recs + synthetic_records(5, [1], [1.0])
     with pytest.raises(ValueError):
         decay_fit(mixed, 2)
+    for tolerance in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            decay_fit(recs, 2, tolerance=tolerance)
 
 
 def test_decay_fit_accepts_certificate():

@@ -16,7 +16,6 @@ from padicsums.series import (
     HenselPreconditionError,
     Parametrization,
     RescaleError,
-    SeriesPrecisionError,
     TruncSeries,
     certify_point,
     hensel_param,
@@ -109,21 +108,6 @@ def test_truncation_aligns_to_shorter_operand():
     b = TruncSeries.from_coeffs([1, 1], 5, 4)
     assert (a * b).order_cap == 1
     assert (a + b).order_cap == 1
-
-
-def test_geometric_inverse():
-    # (1 - t)^-1 = 1 + t + t^2 + ...
-    p, n, top = 5, 8, 9
-    one_minus_t = TruncSeries.from_coeffs([1, -1], p, n, order=top)
-    inv = one_minus_t.inverse()
-    assert inv.coeffs == (1,) * (top + 1)
-    assert (one_minus_t * inv).coeffs == (1,) + (0,) * top
-
-
-def test_inverse_needs_unit_constant():
-    s = TruncSeries.from_coeffs([5, 1], 5, 4)
-    with pytest.raises(SeriesPrecisionError):
-        s.inverse()
 
 
 @pytest.mark.parametrize("solve_for", ["y", "x"])
@@ -260,20 +244,33 @@ def test_branch_catalan_series():
         assert param.series.coeffs[k] == (-catalan(k - 1)) % mod, k
 
 
+BRANCH_CASES = [
+    ("y - x - x*y", 5, 14, 8),
+    ("x + y + y^2", 7, 14, 8),
+    ("y - x^2", 3, 14, 8),
+    ("y + y^2 - x^3", 5, 14, 8),
+    ("2*x + y + x*y + y^3", 3, 14, 8),
+    ("y + 3*x^2 + x*y^2", 3, 14, 8),
+    # the edges of the doubling schedule: order 1 takes no Newton step, 9 and
+    # 17 take one step past a power of two, 16 ends on one; and a wide precision
+    ("y + y^2 - x^3", 5, 14, 1),
+    ("2*x + y + x*y + y^3", 3, 14, 9),
+    ("x + y + y^2", 7, 14, 16),
+    ("y + 3*x^2 + x*y^2", 3, 14, 17),
+    ("y + y^2 - x^3", 5, 200, 3),
+]
+
+
 @pytest.mark.parametrize(
-    "text,p",
-    [
-        ("y - x - x*y", 5),
-        ("x + y + y^2", 7),
-        ("y - x^2", 3),
-        ("y + y^2 - x^3", 5),
-        ("2*x + y + x*y + y^3", 3),
-        ("y + 3*x^2 + x*y^2", 3),
+    "text,p,n,top",
+    BRANCH_CASES,
+    ids=[
+        f"{text}-{p}" if (n, top) == (14, 8) else f"{text}-{p}-n{n}-order{top}"
+        for text, p, n, top in BRANCH_CASES
     ],
 )
-def test_branch_matches_undetermined_coefficients(text, p):
+def test_branch_matches_undetermined_coefficients(text, p, n, top):
     f = parse_poly(text)
-    n, top = 14, 8
     pt = certify_point(f, 0, 0, p, 1)
     param = hensel_param(f, pt, order=top, precision=n)
     assert list(param.series.coeffs) == branch_oracle(f, p, n, top)
@@ -286,7 +283,9 @@ def test_residual_is_exactly_zero():
     assert all(c == 0 for c in param.residual(f).coeffs)
 
 
-@pytest.mark.parametrize("orders", [(6, 11), (6, 24), (11, 24)])
+@pytest.mark.parametrize(
+    "orders", [(6, 11), (6, 24), (11, 24), (1, 9), (1, 16), (9, 17), (16, 17)]
+)
 def test_branch_unique_across_truncation_schedules(orders):
     # requesting different t-orders drives different Newton doubling schedules;
     # the common prefix must agree coefficient by coefficient
