@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import sys
 
 from .counting import (
@@ -251,8 +252,8 @@ def _certificate(args):
 
 
 def cmd_verify(args) -> int:
-    cert, polys = _certificate(args)
     levels = _parse_m_range(args.m)
+    cert, polys = _certificate(args)
     if args.onevar:
         records = [sum_onevar(*polys, PhaseSpec(args.p, m, args.u)) for m in levels]
     else:
@@ -383,6 +384,13 @@ def main(argv: list[str] | None = None) -> int:
             for key in ("m", "u", "l"):
                 if getattr(args, key) is not None:
                     parser.error(f"param takes --{key} only with --g, for a restricted sum")
+        # refuse bad values before any work; u and tolerance with the library's messages
+        if getattr(args, "u", None) is not None:
+            PhaseSpec(args.p, 1, args.u)
+        if not math.isfinite(getattr(args, "tolerance", 0.0)):
+            raise ValueError(f"tolerance must be finite, got {args.tolerance}")
+        if getattr(args, "budget", None) is not None and args.budget < 1:
+            raise ValueError(f"budget must be >= 1, got {args.budget}")
         return args.func(args)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize None to 0

@@ -8,7 +8,9 @@ J = f_x g_y - f_y g_x vanishes).  This module computes:
   * point_depth     -- minimal valuation of the partial derivatives at a point
   * curve_depth     -- its maximum over all points lifted to a probe level
   * contact_order   -- the t-order of g(branch(t)) - g(P) at a point, using
-                       a blow-up chart when the point has positive depth
+                       a blow-up chart when the point has positive depth;
+                       the chart is built once and only the precision
+                       escalates
   * contact_exponent -- the maximum contact order over Z_p critical points,
                        found by a depth-limited lifting search whose classes
                        are certified (an exact or Hensel-unique critical
@@ -21,7 +23,8 @@ J = f_x g_y - f_y g_x vanishes).  This module computes:
 The search and curve_depth work in whole-array passes over the classes or
 points of a level; only those that pass a gate (the Newton determinant
 nonzero mod p^((k+1)//2), an exact hit, both partials 0 mod p^level) are
-handled one by one.
+handled one by one.  A gated class goes through `series._newton_pair`, the
+one scalar Newton iteration, which also refines `hensel_param`'s anchors.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .polynomials import BiPoly
 from .series import (
     CurvePoint,
     HenselPreconditionError,
-    SeriesOrder,
+    _newton_pair,
     _partial_vals_at,
     certify_point,
     hensel_param,
@@ -197,43 +200,6 @@ def _rescaled_weight(g: BiPoly, x0: int, y0: int, p: int, e: int) -> BiPoly:
     return g0.scale_vars(scale, scale).divide_exact(p ** (d * (e + 1)))
 
 
-def _contact_attempt(
-    f: BiPoly, g: BiPoly, pt: CurvePoint, order: int, precision: int
-) -> tuple[SeriesOrder | None, int, CurvePoint]:
-    """One (T, N) attempt; returns (series order or None, chart scale, anchor)."""
-    if not pt.exact and precision > pt.level:
-        raise HenselPreconditionError(
-            f"point certified to level {pt.level}, below working precision {precision}",
-            None,
-        )
-    depth = point_depth(f, pt)
-    if not depth.exact:
-        raise HenselPreconditionError(
-            f"point depth indeterminate at level {pt.level}; recertify deeper",
-            depth.value,
-        )
-    e = depth.value
-    p = pt.p
-    if e == 0:
-        param = hensel_param(f, pt, order=order, precision=precision)
-        series = param.compose_poly(g)
-        return ord_t(series, start=1), 0, param.anchor
-    need = 2 * e + 2
-    if not pt.exact and pt.level < need:
-        raise HenselPreconditionError(
-            f"point certified to level {pt.level}, need {need} for depth {e}",
-            e,
-        )
-    ft = f.shift(pt.x, pt.y)
-    fstar = rescale_srp(ft, p, e)
-    seed_level = precision if pt.exact else min(precision, pt.level - (2 * e + 1))
-    seed = certify_point(fstar, 0, 0, p, max(1, seed_level))
-    param = hensel_param(fstar, seed, order=order, precision=precision)
-    gstar = _rescaled_weight(g, pt.x, pt.y, p, e)
-    series = param.compose_poly(gstar)
-    return ord_t(series, start=1), e, param.anchor
-
-
 def contact_order(f: BiPoly, g: BiPoly, pt: CurvePoint) -> ContactOrder:
     """First t-order at which g moves along the branch through the point.
 
@@ -246,38 +212,71 @@ def contact_order(f: BiPoly, g: BiPoly, pt: CurvePoint) -> ContactOrder:
     _PRECISION_CAP, as far as an inexact point's level backs 2N.  An all-zero
     run at the last N raises with the full trace; a low-confidence order
     there is returned with `confident` False.
+
+    The chart (the point's depth e and, for e >= 1, the blown-up curve,
+    weight and seed) does not depend on N, so it is built once; each N only
+    parametrizes and composes in it.
     """
     if g.is_constant:
         raise WeightConstantError("weight polynomial is constant")
     T = 2 * max(1, f.degree()) * max(1, g.degree()) + 4
     N = _PRECISION_START
+    p = pt.p
     trace: list[str] = []
-    while True:
-        try:
-            found, scale, anchor = _contact_attempt(f, g, pt, T, N)
-        except HenselPreconditionError as exc:
-            trace.append(f"T={T} N={N}: {exc}")
-            raise ContactInconclusiveError(
-                "cannot parametrize at the requested precision", trace
-            ) from exc
-        if found is not None and found.confident:
-            break
-        if found is None:
-            trace.append(f"T={T} N={N}: all residues zero")
-        else:
-            trace.append(
-                f"T={T} N={N}: order {found.order} with leading valuation "
-                f"{found.leading_val} (low confidence)"
+    try:
+        # the only check that depends on N; escalation keeps 2N <= level
+        if not pt.exact and N > pt.level:
+            raise HenselPreconditionError(
+                f"point certified to level {pt.level}, below working precision {N}",
+                None,
             )
-        if N == _PRECISION_CAP or not (pt.exact or 2 * N <= pt.level):
-            break
-        N *= 2
+        depth = point_depth(f, pt)
+        if not depth.exact:
+            raise HenselPreconditionError(
+                f"point depth indeterminate at level {pt.level}; recertify deeper",
+                depth.value,
+            )
+        e = depth.value
+        curve, weight, seed = f, g, pt
+        if e:
+            need = 2 * e + 2
+            if not pt.exact and pt.level < need:
+                raise HenselPreconditionError(
+                    f"point certified to level {pt.level}, need {need} for depth {e}",
+                    e,
+                )
+            curve = rescale_srp(f.shift(pt.x, pt.y), p, e)
+            weight = _rescaled_weight(g, pt.x, pt.y, p, e)
+            # a unit partial at the origin: the same branch whatever N and seed level
+            seed = certify_point(curve, 0, 0, p, max(1, pt.level - (2 * e + 1)))
+        while True:
+            param = hensel_param(curve, seed, order=T, precision=N)
+            found = ord_t(param.compose_poly(weight), start=1)
+            if found is not None and found.confident:
+                break
+            if found is None:
+                trace.append(f"T={T} N={N}: all residues zero")
+            else:
+                trace.append(
+                    f"T={T} N={N}: order {found.order} with leading valuation "
+                    f"{found.leading_val} (low confidence)"
+                )
+            if N == _PRECISION_CAP or not (pt.exact or 2 * N <= pt.level):
+                break
+            N *= 2
+    except HenselPreconditionError as exc:
+        trace.append(f"T={T} N={N}: {exc}")
+        raise ContactInconclusiveError(
+            "cannot parametrize at the requested precision", trace
+        ) from exc
     if found is None:
         raise ContactInconclusiveError(
             "contact order undecided at the caps (weight may be constant along this branch)",
             trace,
         )
-    return ContactOrder(found.order, found.leading_val, scale, found.confident, anchor, tuple(trace))
+    return ContactOrder(
+        found.order, found.leading_val, e, found.confident, param.anchor, tuple(trace)
+    )
 
 
 # -- the oscillation exponent ----------------------------------------------------
@@ -361,61 +360,6 @@ def _refuted(jac: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int) -> np.
     inexact = (v == k) @ (exps > 0)
     at_min = total == total.min(axis=1, keepdims=True)
     return (at_min.sum(axis=1) == 1) & (at_min & ~inexact).any(axis=1)
-
-
-def _newton_certify(
-    f: BiPoly, jac: BiPoly, det: BiPoly, x0: int, y0: int, p: int, k: int, target: int
-) -> tuple[int, int] | None:
-    """Unique critical point in the class by 2-variable Hensel refinement.
-
-    `det` is the determinant f_x jac_y - f_y jac_x of the Jacobian matrix
-    of (f, jac).  Requires its valuation t at the representative to satisfy
-    k >= 2t + 1; then a unique common zero exists within p^-(k-t) and Newton
-    doubles its certified digits each step.  Returns the zero mod p^target,
-    or None when the hypothesis fails or the refined zero leaves the class.
-    """
-    det0 = det.evaluate(x0, y0)
-    if det0 == 0:
-        return None
-    t = _int_valuation(det0, p)
-    if k < 2 * t + 1:
-        return None
-    rows = (
-        (f.partial("x"), f.partial("y")),
-        (jac.partial("x"), jac.partial("y")),
-    )
-    work = target + t + 4
-    mod = p**work
-    x, y = x0 % mod, y0 % mod
-    goal = p ** (target + t)
-    for _ in range(max(4, math.ceil(math.log2(target + 1)) + 4)):
-        f1 = f.evaluate(x, y, mod)
-        f2 = jac.evaluate(x, y, mod)
-        if f1 % goal == 0 and f2 % goal == 0:
-            break
-        m00 = rows[0][0].evaluate(x, y, mod)
-        m01 = rows[0][1].evaluate(x, y, mod)
-        m10 = rows[1][0].evaluate(x, y, mod)
-        m11 = rows[1][1].evaluate(x, y, mod)
-        det = (m00 * m11 - m01 * m10) % mod
-        if det == 0 or _int_valuation(det, p) != t:
-            return None
-        unit_inv = pow(det // p**t, -1, mod)
-        num_x = (m11 * f1 - m01 * f2) % mod
-        num_y = (m00 * f2 - m10 * f1) % mod
-        if num_x % p**t or num_y % p**t:
-            return None
-        x = (x - num_x // p**t * unit_inv) % mod
-        y = (y - num_y // p**t * unit_inv) % mod
-    else:
-        return None
-    qk = p**k
-    if (x - x0) % qk or (y - y0) % qk:
-        return None  # the unique zero lives in a sibling class
-    qt = p**target
-    if f.evaluate(x, y, qt) or jac.evaluate(x, y, qt):
-        return None
-    return x % qt, y % qt
 
 
 # A prime near the int64 evaluation cap: an exact zero is zero mod it.
@@ -551,9 +495,7 @@ def contact_exponent(
             hits[open_] = _exact_hits(f, jac, xs[open_], ys[open_], p**k)
         for n in np.flatnonzero(gated | (hits >= 0)):
             x0, y0 = int(xs[n]), int(ys[n])
-            refined = gated[n] and _newton_certify(
-                f, jac, det, x0, y0, p, k, _NEWTON_WITNESS_LEVEL
-            )
+            refined = gated[n] and _newton_pair(f, jac, x0, y0, p, k, _NEWTON_WITNESS_LEVEL)
             if refined:
                 measure(refined[0], refined[1], _NEWTON_WITNESS_LEVEL, "hensel-unique")
             elif hits[n] >= 0:

@@ -7,7 +7,10 @@ derivative is a unit, by Newton iteration on series that doubles the t-order
 each step.  The inverse of the solved-for partial along the branch is carried
 along and refined by its own Newton step at each doubling, so no step inverts
 a series.  The residual f(branch(t)) == 0 mod (p^n, t^(T+1)) is asserted on
-every call.  `rescale_srp` implements the blow-up substitution
+every call.  Scalar points are refined by `_newton_pair`, the one
+two-variable Hensel Newton: the anchor of a branch is its common zero with
+x = x0 (or y = y0), a critical point its common zero with the Jacobian.
+`rescale_srp` implements the blow-up substitution
 (x, y) -> (p^(e+1) x, p^(e+1) y) followed by exact division by p^(2e+1),
 which turns a point of depth e into an origin of depth 0 whose equation has
 coefficient valuations growing at least linearly in the degree (the
@@ -314,34 +317,55 @@ def _t_identity(model: TruncSeries) -> TruncSeries:
     return TruncSeries.from_coeffs([0, 1], model.p, model.n, model.order_cap)
 
 
-def _refine_anchor(f: BiPoly, pt: CurvePoint, n: int, solve_for: str) -> CurvePoint:
-    """Lift the `solve_for` coordinate to a solution mod p^n by scalar Newton.
+def _newton_pair(
+    f: BiPoly, g: BiPoly, x0: int, y0: int, p: int, k: int, target: int
+) -> tuple[int, int] | None:
+    """Unique common zero of f and g in the class of (x0, y0) mod p^k.
 
-    Requires that partial of f to be a unit at the point; convergence is
-    quadratic, so the iteration cap is logarithmic in n.
+    Two-variable Hensel refinement (Cassels, Local Fields, the multivariate
+    Hensel lemma).  Requires the valuation t of the Jacobian determinant
+    f_x g_y - f_y g_x at the representative to satisfy k >= 2t + 1; then a
+    unique common zero exists within p^-(k-t) and Newton doubles its
+    certified digits each step.  Returns the zero mod p^target, or None when
+    the hypothesis fails or the refined zero leaves the class.  With
+    g = x - x0 (or y - y0) this is one-variable Hensel lifting of y (or x).
     """
-    p = pt.p
-    mod = p**n
-    deriv = f.partial(solve_for)
-    x0, y0 = pt.x % mod, pt.y % mod
-    for _ in range(max(1, math.ceil(math.log2(n)) + 2)):
-        r = f.evaluate(x0, y0, mod)
-        if r == 0:
+    partials = [h.partial(var) for h in (f, g) for var in ("x", "y")]
+    m00, m01, m10, m11 = (d.evaluate(x0, y0) for d in partials)
+    det0 = m00 * m11 - m01 * m10
+    if det0 == 0:
+        return None
+    t = _int_valuation(det0, p)
+    if k < 2 * t + 1:
+        return None
+    mod = p ** (target + t + 4)
+    x, y = x0 % mod, y0 % mod
+    goal = p ** (target + t)
+    for _ in range(max(4, math.ceil(math.log2(target + 1)) + 4)):
+        f1 = f.evaluate(x, y, mod)
+        f2 = g.evaluate(x, y, mod)
+        if f1 % goal == 0 and f2 % goal == 0:
             break
-        d = deriv.evaluate(x0, y0, mod)
-        if d % p == 0:
-            raise HenselPreconditionError(
-                f"{solve_for}-derivative is not a unit at the anchor",
-                _int_valuation(d, p) if d else n,
-            )
-        step = r * pow(d, -1, mod)
-        if solve_for == "y":
-            y0 = (y0 - step) % mod
-        else:
-            x0 = (x0 - step) % mod
+        m00, m01, m10, m11 = (d.evaluate(x, y, mod) for d in partials)
+        det = (m00 * m11 - m01 * m10) % mod
+        if det == 0 or _int_valuation(det, p) != t:
+            return None
+        unit_inv = pow(det // p**t, -1, mod)
+        num_x = (m11 * f1 - m01 * f2) % mod
+        num_y = (m00 * f2 - m10 * f1) % mod
+        if num_x % p**t or num_y % p**t:
+            return None
+        x = (x - num_x // p**t * unit_inv) % mod
+        y = (y - num_y // p**t * unit_inv) % mod
     else:
-        raise RuntimeError("anchor refinement failed to converge (unreachable)")
-    return CurvePoint(x0, y0, p, n, exact=(f.evaluate(x0, y0) == 0))
+        return None
+    qk = p**k
+    if (x - x0) % qk or (y - y0) % qk:
+        return None  # the unique zero lives in a sibling class
+    qt = p**target
+    if f.evaluate(x, y, qt) or g.evaluate(x, y, qt):
+        return None
+    return x % qt, y % qt
 
 
 def hensel_param(
@@ -377,10 +401,16 @@ def hensel_param(
         )
 
     p, n = point.p, precision
-    anchor = _refine_anchor(f, point, n, solve_for)
+    # The anchor is the root of f with the free coordinate held fixed.  It
+    # agrees with the point mod p^level, but only its digits below p^n are
+    # computed, so the class is compared at min(level, n).
+    free = "x" if solve_for == "y" else "y"
+    held = BiPoly.variable(free) - (point.x if free == "x" else point.y)
+    x0, y0 = _newton_pair(f, held, point.x, point.y, p, min(point.level, n), n)
+    anchor = CurvePoint(x0, y0, p, n, exact=(f.evaluate(x0, y0) == 0))
     mod = p**n
     f_solved = f.partial(solve_for)
-    f_free = f.partial("x" if solve_for == "y" else "y")
+    f_free = f.partial(free)
 
     # Seed: first-order solution h = -(f_free/f_solved)(anchor) * t.
     free0 = f_free.evaluate(anchor.x, anchor.y, mod)

@@ -52,14 +52,41 @@ def test_verify_pass_and_fail_codes(capsys):
 
 
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
-def test_verify_rejects_a_tolerance_that_is_not_finite(capsys, tolerance):
-    # inf passed every fit, and nan failed every fit and wrote NaN into the JSON
+def test_verify_rejects_a_tolerance_that_is_not_finite(capsys, monkeypatch, tolerance):
+    # inf passed every fit, and nan failed every fit and wrote NaN into the JSON;
+    # the value is refused before the certificate is computed
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("contact_exponent ran before the tolerance was checked")
+
+    monkeypatch.setattr(cli, "contact_exponent", no_certificate)
     code, out, err = run(
         capsys, "verify", "--p", "5", "--m", "3..5", "--f", "y - x^2", "--g", "y",
         "--tolerance", tolerance,
     )
     assert (code, out) == (2, "")
     assert f"tolerance must be finite, got {tolerance}" in err
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (("--u", "10"), "u = 10 is divisible by p = 5"),
+        (("--m", "3..x"), "invalid literal for int()"),
+        (("--budget", "0"), "budget must be >= 1, got 0"),
+    ],
+    ids=["unit", "levels", "budget"],
+)
+def test_verify_refuses_bad_input_before_the_certificate(capsys, monkeypatch, bad, message):
+    # these ran the whole critical-point search before they exited 2, or exited 0
+    def no_certificate(*args, **kwargs):
+        raise AssertionError("contact_exponent ran before the input was checked")
+
+    monkeypatch.setattr(cli, "contact_exponent", no_certificate)
+    code, out, err = run(
+        capsys, "verify", "--p", "5", "--m", "3..5", "--f", "y - x^2", "--g", "y", *bad
+    )
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -84,6 +111,14 @@ def test_verify_rejects_a_tolerance_that_is_not_finite(capsys, tolerance):
             ("param", "--f", "y - x^2", "--at", "0,0"),
         )
         for p in ("0", "1", "4")
+    ]
+    # a budget below 1: sigma and verify gave a "heuristic" certificate and exit 0
+    + [
+        ("sigma", "--p", "7", "--f", "x^3+y^3-1", "--g", "x", "--budget", "-5"),
+        ("verify", "--p", "5", "--m", "3..5", "--f", "y - x^2", "--g", "y", "--budget", "0"),
+        ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y", "--method", "brute",
+         "--budget", "0"),
+        ("points", "--p", "5", "--m", "2", "--f", "y - x^2", "--method", "brute", "--budget", "-1"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -184,6 +184,26 @@ def test_contact_inconclusive_when_weight_constant_on_branch():
     )
 
 
+def test_contact_builds_the_blowup_chart_once(monkeypatch):
+    # g = f + 25 is constant on the branch through the depth-1 point (0, 5),
+    # so N escalates 16 .. 256; the chart does not depend on N
+    builds = []
+    real = invariants.rescale_srp
+
+    def spy(*args):
+        builds.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(invariants, "rescale_srp", spy)
+    f = parse_poly("y^2 - x^3 - 25")
+    with pytest.raises(ContactInconclusiveError) as exc:
+        contact_order(f, parse_poly("y^2 - x^3"), certify_point(f, 0, 5, 5, 1))
+    assert exc.value.trace == tuple(
+        f"T=22 N={n}: all residues zero" for n in (16, 32, 64, 128, 256)
+    )
+    assert len(builds) == 1
+
+
 def test_contact_low_confidence_when_the_level_stops_escalation():
     # (0, 5^20) is on the curve only mod 5^20, so N = 16 cannot double; the
     # leading coefficient 5^8 of 5^8*t + t^2 is divisible by 5^(16/2)
@@ -430,14 +450,14 @@ def test_newton_gate_admits_a_class_at_the_first_level_it_can(
     # v(det) = t the Newton hypothesis holds from level 2t + 1 on, and the
     # gate det != 0 mod p^((k+1)//2) must neither delay nor anticipate it
     calls = []
-    real = invariants._newton_certify
+    real = invariants._newton_pair
 
     def spy(*args):
         out = real(*args)
-        calls.append((args[6], out is not None))
+        calls.append((args[5], out is not None))
         return out
 
-    monkeypatch.setattr(invariants, "_newton_certify", spy)
+    monkeypatch.setattr(invariants, "_newton_pair", spy)
     cert = contact_exponent(parse_poly(curve), parse_poly(weight), 5)
     assert [w.certified_by for w in cert.witnesses] == ["hensel-unique"]
     assert min(k for k, _ in calls) == level and (level, True) in calls

@@ -310,13 +310,22 @@ def test_points_on_branch_satisfy_equation():
 
 
 def test_anchor_refinement_from_rough_point():
-    # anchor only correct mod 5^3; the parametrization must still be exact
-    f = parse_poly("y - x^2")
-    rough = certify_point(f, 3, 9 + 125, 5, 3)
-    param = hensel_param(f, rough, order=4, precision=10)
-    assert (param.anchor.x, param.anchor.y) == (3, 9)
-    assert param.anchor.exact
-    assert all(c == 0 for c in param.residual(f).coeffs)
+    # anchors only correct mod 5^level; the parametrization must still be
+    # exact.  The second is certified above the working precision, so its
+    # class can only be compared mod 5^precision, where the root is known.
+    x0 = 1 + 5**30
+    cases = [
+        ("y - x^2", 3, 9 + 125, 3, 10, (3, 9)),
+        ("y - x^2 - 1", x0, x0**2 + 1 + 5**48, 48, 16, (1, 2)),
+    ]
+    for text, x, y, level, precision, anchor in cases:
+        f = parse_poly(text)
+        rough = certify_point(f, x, y, 5, level)
+        assert not rough.exact
+        param = hensel_param(f, rough, order=4, precision=precision)
+        assert (param.anchor.x, param.anchor.y) == anchor
+        assert param.anchor.exact
+        assert all(c == 0 for c in param.residual(f).coeffs)
 
 
 def test_solve_for_auto_picks_unit_side():
