@@ -4,118 +4,26 @@ The package enumerates solution sets of f(x, y) = 0 modulo prime powers,
 evaluates character sums weighted by a second polynomial g, computes the
 contact-order invariants that govern how fast those sums decay, and checks
 the predicted decay rate against the measured one.
+
+The package exports every name of each module's `__all__`; the command
+line front end, `padicsums.cli`, stays out of the package namespace.
 """
 
-from .counting import (
-    BudgetError,
-    CountReport,
-    PointSet,
-    brute_points,
-    count_report,
-    lift_levels,
-    lift_points,
-    read_points,
-    write_points,
-)
-from .expsums import (
-    PhaseSpec,
-    SumRecord,
-    decay_records,
-    sum_curve,
-    sum_onevar,
-    sum_parametric,
-    write_records_csv,
-    write_records_json,
-)
-from .invariants import (
-    ContactInconclusiveError,
-    ContactOrder,
-    CurveDepthReport,
-    DecayReport,
-    DepthBound,
-    ExponentCertificate,
-    WeightConstantError,
-    Witness,
-    contact_exponent,
-    contact_exponent_onevar,
-    contact_order,
-    curve_depth,
-    decay_fit,
-    point_depth,
-    write_decay_csv,
-    write_decay_json,
-)
-from .padic import INFINITY, additive_char, is_prime, valuation
-from .polynomials import BiPoly, PolySyntaxError, parse_poly, parse_univariate
-from .series import (
-    CurvePoint,
-    HenselPreconditionError,
-    Parametrization,
-    RescaleError,
-    SeriesPrecisionError,
-    TruncSeries,
-    certify_point,
-    hensel_param,
-    is_srp_poly,
-    is_srp_series,
-    ord_t,
-    rescale_srp,
-)
+from . import counting, expsums, invariants, padic, polynomials, series
+from .counting import *
+from .expsums import *
+from .invariants import *
+from .padic import *
+from .polynomials import *
+from .series import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiPoly",
-    "BudgetError",
-    "ContactInconclusiveError",
-    "ContactOrder",
-    "CountReport",
-    "CurveDepthReport",
-    "CurvePoint",
-    "DecayReport",
-    "DepthBound",
-    "ExponentCertificate",
-    "HenselPreconditionError",
-    "INFINITY",
-    "Parametrization",
-    "PhaseSpec",
-    "PointSet",
-    "PolySyntaxError",
-    "RescaleError",
-    "SeriesPrecisionError",
-    "SumRecord",
-    "TruncSeries",
-    "WeightConstantError",
-    "Witness",
-    "additive_char",
-    "brute_points",
-    "certify_point",
-    "contact_exponent",
-    "contact_exponent_onevar",
-    "contact_order",
-    "count_report",
-    "curve_depth",
-    "decay_fit",
-    "decay_records",
-    "hensel_param",
-    "is_prime",
-    "is_srp_poly",
-    "is_srp_series",
-    "lift_levels",
-    "lift_points",
-    "ord_t",
-    "parse_poly",
-    "parse_univariate",
-    "point_depth",
-    "read_points",
-    "rescale_srp",
-    "sum_curve",
-    "sum_onevar",
-    "sum_parametric",
-    "valuation",
-    "write_decay_csv",
-    "write_decay_json",
-    "write_points",
-    "write_records_csv",
-    "write_records_json",
+    *counting.__all__,
+    *expsums.__all__,
+    *invariants.__all__,
+    *padic.__all__,
+    *polynomials.__all__,
+    *series.__all__,
 ]

@@ -9,7 +9,8 @@ Subcommands:
 
 Each option is declared once, in _OPTIONS; each subcommand in _COMMANDS lists
 the options it takes, the ones it requires and its own defaults.  The parser
-is built from these tables once per process, on the first main() call.
+is built from these tables once per process, on the first main() call, and
+each output's config block echoes the options that _COMMANDS lists.
 Options can also come from --config FILE (key=value lines, '#' comments);
 explicit flags win.  Config values go through the same parser as flags, so
 they are checked the same way.  Outputs embed the resolved configuration and
@@ -142,12 +143,14 @@ def _load_config(path: str) -> dict[str, list[str]]:
     return values
 
 
-def _resolved_config(args, keys) -> dict:
+def _resolved_config(args) -> dict:
+    """The command and each of its _COMMANDS options that is set, but config, out, budget."""
+    _, _, names, _ = _COMMANDS[args.command]
     out = {"command": args.command}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
+    for name in names.split():
+        key = name.rstrip("!")
+        if key not in ("config", "out", "budget") and getattr(args, key) is not None:
+            out[key] = getattr(args, key)
     return out
 
 
@@ -181,7 +184,7 @@ def cmd_points(args) -> int:
         ps = brute_points(f, args.p, m, budget=budget)
     else:
         ps = lift_points(f, args.p, m)
-    config = _resolved_config(args, ("p", "m", "f"))
+    config = _resolved_config(args)
     config.update(method=method, budget=budget)
     with _output(args.out) as fh:
         write_points(ps, f, fh, extra_header={"config": json.dumps(config, sort_keys=True)})
@@ -212,9 +215,7 @@ def _curve_and_weight(args):
 
 def cmd_sum(args) -> int:
     levels = _parse_m_range(args.m)
-    config = _resolved_config(
-        args, ("p", "m", "u", "f", "g", "onevar", "method", "format", "sigma")
-    )
+    config = _resolved_config(args)
     budget = _brute_budget(args, args.method)
     if args.onevar:
         if args.method != "auto":
@@ -259,9 +260,7 @@ def cmd_verify(args) -> int:
     else:
         records = decay_records(*polys, args.p, levels, u=args.u)
     report = decay_fit(records, cert, tolerance=args.tolerance)
-    config = _resolved_config(
-        args, ("p", "m", "u", "f", "g", "onevar", "depth", "tolerance", "format")
-    )
+    config = _resolved_config(args)
     config["exponent_confidence"] = cert.confidence
     with _output(args.out) as fh:
         if args.format == "csv":
@@ -273,7 +272,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sigma(args) -> int:
     cert, _ = _certificate(args)
-    config = _resolved_config(args, ("p", "f", "g", "onevar", "depth"))
+    config = _resolved_config(args)
     payload = {"config": config, "certificate": cert.to_json_dict()}
     with _output(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -293,7 +292,7 @@ def cmd_param(args) -> int:
     # main() lets --u and --l through only with --g; the config shows their defaults
     u = _OPTIONS["u"]["default"] if args.u is None else args.u
     l = _OPTIONS["l"]["default"] if args.l is None else args.l
-    config = _resolved_config(args, ("p", "f", "at", "level", "order", "precision", "g", "m"))
+    config = _resolved_config(args)
     config.update(u=u, l=l)
     payload = {
         "config": config,

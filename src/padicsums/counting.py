@@ -177,8 +177,11 @@ def _lift_tables(f: BiPoly, p: int):
 
     A point keeps its residue (x0, y0) mod p as it lifts, so the partials
     mod p of a point at any level are read from the tables at x0*p + y0.
-    The inverse table holds 0 at 0.
+    The inverse table holds 0 at 0.  The tables span the level-1 grid of
+    p^2 cells, so they get the brute scan's cap on that grid.
     """
+    if p * p > BRUTE_BUDGET:
+        raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
     grid = np.arange(p, dtype=np.int64)
     gx, gy = np.repeat(grid, p), np.tile(grid, p)
     inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
@@ -235,12 +238,12 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     if m < 1:
         raise ValueError("level must be >= 1")
     _check_vector_safe(p**m)
+    tables = _lift_tables(f, p)  # first, so that its cap guards the level-1 scan
 
     origin = np.zeros(1, dtype=np.int64)
     xs, ys = _extend_pairs((f,), origin, origin, p, 0)
     yield PointSet(p, 1, xs, ys)
 
-    tables = _lift_tables(f, p)
     digits = np.arange(p, dtype=np.int64)
     for k in range(1, m):
         xs, ys = _lift_step(f, xs, ys, p, k, tables, digits)

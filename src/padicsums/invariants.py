@@ -36,7 +36,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .counting import BudgetError, _extend_pairs, _int_dtype, lift_points
+from .counting import BRUTE_BUDGET, BudgetError, _extend_pairs, _int_dtype, lift_points
 from .expsums import SumRecord
 from .padic import INFINITY, _int_valuation, is_prime
 from .polynomials import BiPoly
@@ -439,16 +439,17 @@ def contact_exponent(
             "the weight is constant along every branch of the curve"
         )
 
-    # Level 1 extends the one class mod p^0; the budget caps deeper levels.
+    # Level 1 extends the one class mod p^0 under the brute scan's cap on
+    # its p^2 digit pairs; the budget caps deeper levels.
     origin = np.zeros(1, dtype=np.int64)
-    curve_mod_p, _ = _extend_classes((f,), origin, origin, p, 0, math.inf)
+    curve_mod_p, _ = _extend_classes((f,), origin, origin, p, 0, BRUTE_BUDGET)
     notes: list[str] = []
     if not len(curve_mod_p):
         return ExponentCertificate(
             1, (), depth, "certified", ("curve has no points mod p",)
         )
 
-    xs, ys = _extend_classes((f, jac), origin, origin, p, 0, math.inf)
+    xs, ys = _extend_classes((f, jac), origin, origin, p, 0, BRUTE_BUDGET)
     all_critical_mod_p = len(xs) == len(curve_mod_p)
     det = f.partial("x") * jac.partial("y") - f.partial("y") * jac.partial("x")
 

@@ -251,12 +251,7 @@ class BiPoly:
 
     def shift(self, a: int, b: int) -> "BiPoly":
         """f(x + a, y + b), exact over Z."""
-        xa = BiPoly({(1, 0): 1, (0, 0): a})
-        yb = BiPoly({(0, 1): 1, (0, 0): b})
-        out = BiPoly.zero()
-        for (i, j), c in self.terms.items():
-            out = out + BiPoly.constant(c) * xa**i * yb**j
-        return out
+        return self.horner(BiPoly.variable("x") + a, BiPoly.variable("y") + b)
 
     def scale_vars(self, cx: int, cy: int) -> "BiPoly":
         """f(cx * x, cy * y)."""
@@ -338,6 +333,11 @@ def _tokenize(text: str) -> Iterator[tuple[str, object, int]]:
     yield ("end", None, n)
 
 
+def _shown(tok) -> str:
+    """A token as error messages name it."""
+    return "end of input" if tok[0] == "end" else repr(tok[1])
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -355,7 +355,7 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.advance()
         if tok[0] != kind:
-            raise PolySyntaxError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            raise PolySyntaxError(f"expected {kind!r}, found {_shown(tok)}", tok[2])
         return tok
 
     def parse(self) -> BiPoly:
@@ -407,7 +407,7 @@ class _Parser:
             inner = self.expr()
             self.expect(")")
             return inner
-        raise PolySyntaxError(f"unexpected {value!r}", pos)
+        raise PolySyntaxError(f"unexpected {_shown(tok)}", pos)
 
 
 def parse_poly(text: str) -> BiPoly:

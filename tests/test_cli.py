@@ -119,6 +119,18 @@ def test_verify_refuses_bad_input_before_the_certificate(capsys, monkeypatch, ba
         ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y", "--method", "brute",
          "--budget", "0"),
         ("points", "--p", "5", "--m", "2", "--f", "y - x^2", "--method", "brute", "--budget", "-1"),
+    ]
+    # a p^2 grid above the brute cap: a 7.28 TiB table allocation or a
+    # level-1 scan of 10^12 candidates, refused before either
+    + [
+        (command, "--p", "1000003", *rest)
+        for command, *rest in (
+            ("sum", "--m", "1", "--f", "y - x^2", "--g", "y"),
+            ("sum", "--m", "1", "--f", "y - x^2", "--g", "y", "--method", "lift"),
+            ("sigma", "--f", "y - x^2", "--g", "y"),
+            ("verify", "--m", "1..3", "--f", "y - x^2", "--g", "y"),
+            ("points", "--m", "1", "--f", "y - x^2"),
+        )
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -656,6 +668,9 @@ assert cli.build_parser.cache_info().misses == 1
     assert json.loads(once)["config"]["m"] == "2..3"
 
 
+FILES = ("--config", "empty.cfg", "--out", "out.txt")
+
+
 @pytest.mark.parametrize(
     "argv,config",
     [
@@ -684,13 +699,51 @@ assert cli.build_parser.cache_info().misses == 1
             {"at": "0,0", "command": "param", "f": "y - x^2", "l": 0, "level": 1, "order": 16,
              "p": 5, "precision": 16, "u": 1},
         ),
+        # every option each subcommand takes: config, out and budget are not
+        # echoed, except the budget that points resolves
+        (
+            ("points", "--p", "5", *FILES, "--budget", "1000", "--m", "2", "--method", "brute",
+             "--f", "y - x^2"),
+            {"budget": 1000, "command": "points", "f": "y - x^2", "m": "2", "method": "brute",
+             "p": 5},
+        ),
+        (
+            ("sum", "--p", "5", *FILES, "--budget", "20000", "--m", "2..3", "--f", "y - x^2",
+             "--g", "y", "--u", "2", "--method", "brute", "--format", "json", "--sigma", "2"),
+            {"command": "sum", "f": "y - x^2", "format": "json", "g": "y", "m": "2..3",
+             "method": "brute", "onevar": False, "p": 5, "sigma": 2, "u": 2},
+        ),
+        (
+            ("verify", "--p", "5", *FILES, "--budget", "5000", "--m", "2..4", "--f", "y - x^2",
+             "--g", "y", "--u", "2", "--depth", "4", "--format", "json", "--tolerance", "0.1"),
+            {"command": "verify", "depth": 4, "exponent_confidence": "certified",
+             "f": "y - x^2", "format": "json", "g": "y", "m": "2..4", "onevar": False, "p": 5,
+             "tolerance": 0.1, "u": 2},
+        ),
+        (
+            ("sigma", "--p", "5", *FILES, "--budget", "5000", "--f", "y - x^2", "--g", "y",
+             "--depth", "4"),
+            {"command": "sigma", "depth": 4, "f": "y - x^2", "g": "y", "onevar": False, "p": 5},
+        ),
+        (
+            ("param", "--p", "5", *FILES, "--m", "3", "--f", "y - x^2", "--g", "y", "--u", "2",
+             "--at", "0,0", "--level", "2", "--order", "8", "--precision", "12", "--l", "1"),
+            {"at": "0,0", "command": "param", "f": "y - x^2", "g": "y", "l": 1, "level": 2,
+             "m": "3", "order": 8, "p": 5, "precision": 12, "u": 2},
+        ),
     ],
-    ids=["points", "sum", "verify", "sigma", "param"],
+    ids=["points", "sum", "verify", "sigma", "param"] + [
+        "points-all", "sum-all", "verify-all", "sigma-all", "param-all"
+    ],
 )
-def test_minimal_argv_config_block_is_pinned(capsys, argv, config):
+def test_minimal_argv_config_block_is_pinned(capsys, tmp_path, monkeypatch, argv, config):
     # every default a subcommand writes into its output, as each one prints it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.cfg").write_text("# no defaults\n")
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    if "--out" in argv:
+        out = (tmp_path / "out.txt").read_text()
     if argv[0] == "points":
         printed = json.loads(read_points(io.StringIO(out))[1]["config"])
     else:

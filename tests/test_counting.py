@@ -162,6 +162,12 @@ def test_brute_budget():
         brute_points(f, 5, 4, budget=100)
 
 
+def test_lift_refuses_a_level_one_grid_above_the_brute_cap():
+    # p^2 > 10^8 residues: the level-1 scan and the partial tables are refused
+    with pytest.raises(BudgetError, match="budget is 100000000"):
+        lift_points(parse_poly("y - x^2"), 1000003, 1)
+
+
 # -- growth and stabilization -----------------------------------------------------------
 
 

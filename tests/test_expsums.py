@@ -357,6 +357,12 @@ def test_parametric_sum_at_l_equal_to_m_is_the_anchor_term():
     assert rec.value == pytest.approx(scalar_parametric_sum(param, g, m, phase), abs=1e-12)
 
 
+def test_stationary_phase_sums_refuse_a_level_one_grid_above_the_brute_cap():
+    # the partial tables over p^2 > 10^8 residues would take terabytes
+    with pytest.raises(BudgetError, match="budget is 100000000"):
+        decay_records(parse_poly("y - x^2"), parse_poly("y"), 1000003, [1])
+
+
 def test_parametric_sum_is_capped_before_it_allocates():
     # p^(m-l) = 2^35 branch points: over the 2^31 cap of the one-variable sum
     p, m, l = 2, 40, 5

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from padicsums.expsums import PhaseSpec, SumRecord, decay_records, sum_curve
-from padicsums.counting import lift_points
+from padicsums.counting import BudgetError, lift_points
 from padicsums.invariants import (
     ContactInconclusiveError,
     CurveDepthReport,
@@ -362,6 +362,12 @@ def test_exponent_budget_exhaustion_is_heuristic_not_fatal():
     cert = contact_exponent(parse_poly("y - x^4"), parse_poly("y"), 2, budget=3)
     assert cert.confidence == "heuristic"
     assert any("budget" in note for note in cert.notes)
+
+
+def test_exponent_refuses_a_level_one_grid_above_the_brute_cap():
+    # the level-1 scan of p^2 > 10^8 residues is refused, not budget-noted
+    with pytest.raises(BudgetError, match="budget is 100000000"):
+        contact_exponent(parse_poly("y - x^2"), parse_poly("y"), 1000003)
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])

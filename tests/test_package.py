@@ -1,4 +1,4 @@
-"""Every name in an __all__ resolves, in the package and in each module."""
+"""Every name in an __all__ resolves, and the package exports each module's __all__."""
 
 import importlib
 
@@ -13,3 +13,10 @@ def test_all_names_resolve(module):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert missing == []
     assert len(mod.__all__) == len(set(mod.__all__))
+
+
+def test_package_exports_every_module_all_in_module_order():
+    import padicsums
+
+    names = [n for m in MODULES for n in importlib.import_module(f"padicsums.{m}").__all__]
+    assert padicsums.__all__ == names

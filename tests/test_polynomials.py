@@ -212,6 +212,21 @@ def test_parse_errors_carry_positions(text, column):
     assert exc.value.position == column
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "unexpected end of input (column 1)"),
+        ("x^", "expected 'int', found end of input (column 3)"),
+        ("(x", "expected ')', found end of input (column 3)"),
+        ("y - x^2 + ", "unexpected end of input (column 11)"),
+    ],
+)
+def test_parse_errors_name_the_end_of_input(text, message):
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
 def test_parse_error_message_mentions_column():
     with pytest.raises(PolySyntaxError, match="column 4"):
         parse_poly("y -- x")
