@@ -7,8 +7,9 @@ and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
 for the lifting route: the two share the evaluator (`BiPoly.horner`), not
 the enumeration.  One level of the lifting route is `_lift_step`, which
 starts from any points of Y_k: the stationary-phase sums of the expsums
-module use it to lift one representative per class and the singular
-subtrees.  The exhaustive digit-pair step, `_extend_pairs`, also serves the
+module use it to lift the singular subtrees, and `_lift_to` to lift one
+representative per smooth class to Y_m in a single Newton step.  The
+exhaustive digit-pair step, `_extend_pairs`, also serves the
 critical-locus search of the invariants module.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
@@ -194,59 +195,90 @@ def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
     return tables[0][cell], tables[1][cell]
 
 
-def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables, digits):
-    """Lifts to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
+def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables):
+    """Every lift to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
 
-    At a point where f_y mod p is nonzero, each entry of `digits` becomes
-    the next digit of x and one Newton division gives the digit of y;
-    symmetrically where only f_x is a unit.  `digits = arange(p)` gives
-    every lift of a smooth point, `digits = [0]` the one lift whose free
-    digit is 0.  Where both partials vanish mod p, all p^2 digit pairs are
-    tested (`_extend_pairs`) whatever `digits` is.  Columns come as the
-    smooth-y lifts, the smooth-x lifts, then the singular ones.
+    At a point where f_y mod p is nonzero, each digit 0..p-1 becomes the
+    next digit of x and one Newton division gives the digit of y;
+    symmetrically where only f_x is a unit.  Where both partials vanish
+    mod p, all p^2 digit pairs are tested (`_extend_pairs`).  Columns come
+    as the smooth-y lifts, the smooth-x lifts, then the singular ones.
     """
     q, q1 = p**k, p ** (k + 1)
     fx_red, fy_red = _residue_partials(tables, xs, ys, p)
     smooth_y = fy_red != 0
     smooth_x = (~smooth_y) & (fx_red != 0)
     singular = ~(smooth_y | smooth_x)
+    digits = np.arange(p, dtype=np.int64)
 
     parts = []
     # One Hensel step for both smooth fibers: row `solved` of the (x, y)
     # candidates (y where f_y is a unit mod p, else x) gets its next digit
-    # by one Newton division; the other row takes each of `digits`.
+    # by one Newton division; the other row takes every digit.
     for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
         n = int(sel.sum())
-        cand = np.tile(np.stack([xs[sel], ys[sel]]), len(digits))
+        cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
         cand[1 - solved] += q * np.repeat(digits, n)
         resid = f.horner(cand[0], cand[1], q1) // q
-        cand[solved] += q * (-resid * np.tile(tables[2][partial[sel]], len(digits)) % p)
+        cand[solved] += q * (-resid * np.tile(tables[2][partial[sel]], p) % p)
         parts.append(cand)
 
     parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
     return np.concatenate(parts, axis=1)
 
 
-def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
+def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, tables):
+    """Each smooth point of Y_k lifted to Y_m, k <= m <= 2k, with free digits 0.
+
+    The coordinate solved for is the one `_lift_step` solves for: y where
+    f_y is a unit mod p, else x.  With r = m - k <= k, f(P + p^k t) =
+    f(P) + p^k t f_s(P) mod p^m along that coordinate, so one Newton step
+    t = -(f(P)/p^k) w mod p^r is exact, w = 1/f_s(P) mod p^r; w starts
+    from the inverse table and doubles its precision by w(2 - f_s w).
+    This is the point r steps of `_lift_step` reach through free digit 0,
+    and the columns come in their order: the y-solved points, then the
+    x-solved ones, each in input order (at m = k, no step: the input as
+    given).  Only + * % //, np.where and a stable argsort act on the
+    arrays, so any integer dtype serves.
+    """
+    r = m - k
+    if r == 0:
+        return xs, ys
+    q, qr = p**k, p**r
+    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
+    order = np.argsort(fy_red == 0, kind="stable")
+    xs, ys, solve_y = xs[order], ys[order], fy_red[order] != 0
+    d = np.where(solve_y, f.partial("y").horner(xs, ys, qr), f.partial("x").horner(xs, ys, qr))
+    w = tables[2][np.where(solve_y, fy_red[order], fx_red[order])]
+    precision = 1
+    while precision < r:
+        w = w * ((2 - d * w) % qr) % qr
+        precision *= 2
+    step = q * (-(f.horner(xs, ys, p**m) // q) * w % qr)
+    return np.where(solve_y, xs, xs + step), np.where(solve_y, ys + step, ys)
+
+
+def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]:
     """Yield the solution sets mod p, p^2, ..., p^m by digit lifting.
 
     Level 1 is a scan of the p^2 residues; each further level is one
-    `_lift_step` over every digit.  At a residue where a partial of f is a
-    unit mod p each point has exactly p lifts, which is what makes the
-    counts grow by exactly p per level once every residue in play is smooth.
+    `_lift_step`.  At a residue where a partial of f is a unit mod p each
+    point has exactly p lifts, which is what makes the counts grow by
+    exactly p per level once every residue in play is smooth.  `tables`
+    are `_lift_tables(f, p)`, built here unless the caller has them.
     """
     if m < 1:
         raise ValueError("level must be >= 1")
     _check_vector_safe(p**m)
-    tables = _lift_tables(f, p)  # first, so that its cap guards the level-1 scan
+    if tables is None:
+        tables = _lift_tables(f, p)  # first, so that its cap guards the level-1 scan
 
     origin = np.zeros(1, dtype=np.int64)
     xs, ys = _extend_pairs((f,), origin, origin, p, 0)
     yield PointSet(p, 1, xs, ys)
 
-    digits = np.arange(p, dtype=np.int64)
     for k in range(1, m):
-        xs, ys = _lift_step(f, xs, ys, p, k, tables, digits)
+        xs, ys = _lift_step(f, xs, ys, p, k, tables)
         yield PointSet(p, k + 1, xs, ys)
 
 

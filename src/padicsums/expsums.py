@@ -60,6 +60,7 @@ from .counting import (
     _check_vector_safe,
     _lift_step,
     _lift_tables,
+    _lift_to,
     _residue_partials,
     lift_levels,
 )
@@ -304,10 +305,12 @@ def decay_records(
 
     The curve is enumerated only up to K = ceil(max m / 2).  For each m,
     with k = ceil(m/2) and r = m - k, a smooth class of Y_k is kept when
-    J = f_x g_y - f_y g_x vanishes on it mod p^r; one lift P* of it to
-    Y_m (free digit 0) then adds p^r terms of phase g(P*).  The singular
-    points of Y_m (both partials 0 mod p) are lifted and summed directly.
-    point_count is (smooth classes of Y_k) * p^r plus the singular points.
+    J = f_x g_y - f_y g_x vanishes on it mod p^r; one Newton step lifts
+    its representative to the point P* of Y_m with free digits 0
+    (`counting._lift_to`), which adds p^r terms of phase g(P*).  The
+    singular points of Y_m (both partials 0 mod p) are lifted and summed
+    directly.  point_count is (smooth classes of Y_k) * p^r plus the
+    singular points.
     """
     wanted = sorted(set(m_range))
     if not wanted:
@@ -315,22 +318,23 @@ def decay_records(
     if wanted[0] < 1:
         raise ValueError("levels must be >= 1")
     m_max = wanted[-1]
+    PhaseSpec(p, m_max, u)  # p prime and u a unit, before any work
     # Phases are reduced mod p^m in int64, though no level above K is lifted.
     _check_vector_safe(p**m_max)
     top = (m_max + 1) // 2
     tables = _lift_tables(f, p)
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
-    zero_digit, all_digits = np.zeros(1, dtype=np.int64), np.arange(p, dtype=np.int64)
 
     smooth, singular = {}, {}  # level -> (xs, ys) of its smooth / singular points
-    for level_set in lift_levels(f, p, top):
+    for level_set in lift_levels(f, p, top, tables=tables):
         xs, ys = level_set.xs, level_set.ys
         fx_red, fy_red = _residue_partials(tables, xs, ys, p)
         sing = (fx_red == 0) & (fy_red == 0)
         smooth[level_set.m] = xs[~sing], ys[~sing]
         singular[level_set.m] = xs[sing], ys[sing]
     for j in range(top, m_max):
-        singular[j + 1] = tuple(_lift_step(f, *singular[j], p, j, tables, all_digits))
+        sx, sy = singular[j]
+        singular[j + 1] = tuple(_lift_step(f, sx, sy, p, j, tables)) if len(sx) else (sx, sy)
 
     records = []
     for m in wanted:
@@ -338,9 +342,7 @@ def decay_records(
         r = m - k
         xs, ys = smooth[k]
         keep = jac.horner(xs, ys, p**r) == 0
-        rx, ry = xs[keep], ys[keep]
-        for j in range(k, m):
-            rx, ry = _lift_step(f, rx, ry, p, j, tables, zero_digit)
+        rx, ry = _lift_to(f, xs[keep], ys[keep], p, k, m, tables)
         sx, sy = singular[m]
         phase = PhaseSpec(p, m, u)
         q = phase.denominator

@@ -17,7 +17,14 @@ from padicsums.counting import (
     read_points,
     write_points,
 )
-from padicsums.counting import _PAIR_BLOCK, _extend_pairs
+from padicsums.counting import (
+    _PAIR_BLOCK,
+    _extend_pairs,
+    _lift_step,
+    _lift_tables,
+    _lift_to,
+    _residue_partials,
+)
 from padicsums.invariants import _extend_classes
 from padicsums.polynomials import parse_poly
 
@@ -154,6 +161,32 @@ def test_lift_levels_are_consistent_projections():
     for k in range(1, 4):
         higher = {(x % 3**k, y % 3**k) for x, y in levels[k].pairs()}
         assert higher <= set(levels[k - 1].pairs())
+
+
+def zero_digit_lifts(f, xs, ys, p, k, m, tables):
+    """m - k steps of `_lift_step`, each keeping the lift whose free digit is 0."""
+    for j in range(k, m):
+        xs, ys = _lift_step(f, xs, ys, p, j, tables)
+        _, fy_red = _residue_partials(tables, xs, ys, p)
+        free = np.where(fy_red != 0, xs, ys)  # x when y is solved for, else y
+        xs, ys = xs[free < p**j], ys[free < p**j]
+    return xs, ys
+
+
+@pytest.mark.parametrize(
+    "text,p",
+    # y solved for everywhere, x everywhere, and both (x where y = 0 mod 3)
+    [("y - x^2", 2), ("y - x^2", 3), ("x - y^2", 2), ("x - y^2", 3)],
+)
+def test_newton_lift_matches_the_zero_digit_loop(text, p):
+    f, k = parse_poly(text), 4
+    tables = _lift_tables(f, p)
+    top = lift_points(f, p, k)
+    for m in range(k, 2 * k + 1):  # r = 0..4: the inverse doubles 0, 1 and 2 times
+        got = _lift_to(f, top.xs, top.ys, p, k, m, tables)
+        want = zero_digit_lifts(f, top.xs, top.ys, p, k, m, tables)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert (f.horner(got[0], got[1], p**m) == 0).all()
 
 
 def test_brute_budget():

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from padicsums import expsums
+from padicsums import counting, expsums
 from padicsums.expsums import (
     CSV_COLUMNS,
     PhaseSpec,
@@ -431,11 +431,18 @@ def test_decay_records_match_individual_sums():
         assert rec.point_count == single.point_count
 
 
-def test_decay_records_validation():
+def test_decay_records_validation(monkeypatch):
     f, g = parse_poly("y - x"), parse_poly("x")
     assert decay_records(f, g, 3, []) == []
     with pytest.raises(ValueError):
         decay_records(f, g, 3, [0, 1])
+    # p and u are PhaseSpec's checks, made before anything is enumerated
+    monkeypatch.setattr(expsums, "lift_levels", lambda *a, **k: pytest.fail("enumerated"))
+    for p in (0, 4, -3):
+        with pytest.raises(ValueError, match="p must be prime"):
+            decay_records(f, g, p, [1, 2])
+    with pytest.raises(ValueError, match="divisible by p"):
+        decay_records(f, g, 3, [1, 2], u=3)
 
 
 def lift_oracle_records(f, g, p, levels, u):
@@ -493,11 +500,41 @@ def test_decay_records_sum_the_singular_subtree(curve, weight, p, m_max):
     assert_records_agree(decay_records(f, g, p, levels, 3), lift_oracle_records(f, g, p, levels, 3))
 
 
+@pytest.mark.parametrize("weight", ["x", "x + y", "x*y"])
+@pytest.mark.parametrize("p,m_max", [(3, 9), (5, 7)])
+def test_decay_records_match_the_lift_oracle_where_the_newton_inverse_doubles(weight, p, m_max):
+    # r = m - ceil(m/2) reaches 4 at p=3 and 3 at p=5, so the inverse in the
+    # Newton lift doubles its precision twice; the weights keep x-solved
+    # classes (x), y-solved ones (x + y) and, at p=3, both (x*y)
+    f, g = parse_poly("x - y^2"), parse_poly(weight)
+    levels = list(range(1, m_max + 1))
+    assert_records_agree(decay_records(f, g, p, levels, 2), lift_oracle_records(f, g, p, levels, 2))
+
+
+def test_decay_records_lift_point_by_point_only_inside_lift_levels(monkeypatch):
+    # kept classes reach Y_m by one Newton step, and a curve with no
+    # singular points has no subtree to lift
+    calls = []
+    real = counting._lift_step
+
+    def spy(caller):
+        def step(*args):
+            calls.append(caller)
+            return real(*args)
+
+        return step
+
+    monkeypatch.setattr(counting, "_lift_step", spy("lift_levels"))
+    monkeypatch.setattr(expsums, "_lift_step", spy("decay_records"))
+    decay_records(parse_poly("y - x^2"), parse_poly("y"), 5, range(3, 8))
+    assert calls == ["lift_levels"] * 3  # Y_2, Y_3, Y_4 = Y_ceil(7/2)
+
+
 def test_decay_records_enumerate_only_up_to_half_the_top_level(monkeypatch):
     seen = []
 
-    def recording_lift_levels(f, p, m):
-        for level_set in lift_levels(f, p, m):
+    def recording_lift_levels(f, p, m, **kwargs):
+        for level_set in lift_levels(f, p, m, **kwargs):
             seen.append(level_set.m)
             yield level_set
 
