@@ -16,7 +16,9 @@ A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
 
 Point sets and lifting stay in int64; guards cap the modulus so that every
-intermediate product provably fits.
+intermediate product provably fits.  The brute grid is evaluated in int32
+when q^2 < 2^31, which holds under the default budget of 10^8 cells, in
+blocks of about 2^17 cells, so each block's arrays stay cache-sized.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
+from .padic import _check_level
 from .polynomials import BiPoly
 
 __all__ = [
@@ -47,6 +50,8 @@ BRUTE_BUDGET = 10**8
 _VECTOR_MODULUS_CAP = 2**31
 # Digit-pair candidates per array pass (128 KB per int64 array).
 _PAIR_BLOCK = 2**14
+# Grid cells per brute-scan block (512 KB per int32 array).
+_GRID_BLOCK = 2**17
 
 
 class BudgetError(RuntimeError):
@@ -150,22 +155,26 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
     """Full-grid oracle: test every pair in (Z/p^m)^2.
 
     Every cell is evaluated exactly mod q = p^m by `BiPoly.horner`, a block
-    of x rows at a time: x enters as a column and y as a row, so the
-    x-Horner steps run once per row and only the y steps span the grid.
-    The flat index of a hit in a block starting at row x0, plus x0*q, is
-    its key x*q + y.
+    of x rows (about `_GRID_BLOCK` cells) at a time: x enters as a column
+    and y as a row, so the x-Horner steps run once per row and only the y
+    steps span the grid.  The grid is int32 when q^2 < 2^31 (no Horner
+    value exceeds q^2 - q), else int64; under the default budget it is
+    always int32, which halves the cost of each grid multiply-add.  The flat index of a hit in
+    a block starting at row x0, plus x0*q, is its key x*q + y.
     """
+    _check_level(p, m)
     q = p**m
     if q * q > budget:
         raise BudgetError(
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
     _check_vector_safe(q)
-    ys = np.arange(q, dtype=np.int64)[None, :]
-    chunk = max(1, 10**6 // q)
+    dtype = np.int32 if q * q < 2**31 else np.int64
+    ys = np.arange(q, dtype=dtype)[None, :]
+    chunk = max(1, _GRID_BLOCK // q)
     keys = []
     for x0 in range(0, q, chunk):
-        xs = np.arange(x0, min(x0 + chunk, q), dtype=np.int64)[:, None]
+        xs = np.arange(x0, min(x0 + chunk, q), dtype=dtype)[:, None]
         # f mod q free of y (or x) gives one column (or row): widen the mask
         hit = np.broadcast_to(f.horner(xs, ys, q) == 0, (len(xs), q))
         keys.append(np.flatnonzero(hit) + x0 * q)
@@ -202,7 +211,9 @@ def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables
     next digit of x and one Newton division gives the digit of y;
     symmetrically where only f_x is a unit.  Where both partials vanish
     mod p, all p^2 digit pairs are tested (`_extend_pairs`).  Columns come
-    as the smooth-y lifts, the smooth-x lifts, then the singular ones.
+    as the smooth-y lifts, the smooth-x lifts, then the singular ones; a
+    fiber with no points costs no array work, and empty input gives a
+    (2, 0) array of its dtype.
     """
     q, q1 = p**k, p ** (k + 1)
     fx_red, fy_red = _residue_partials(tables, xs, ys, p)
@@ -216,14 +227,19 @@ def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables
     # candidates (y where f_y is a unit mod p, else x) gets its next digit
     # by one Newton division; the other row takes every digit.
     for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
-        n = int(sel.sum())
+        n = int(np.count_nonzero(sel))
+        if n == 0:
+            continue
         cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
         cand[1 - solved] += q * np.repeat(digits, n)
         resid = f.horner(cand[0], cand[1], q1) // q
         cand[solved] += q * (-resid * np.tile(tables[2][partial[sel]], p) % p)
         parts.append(cand)
 
-    parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
+    if singular.any():
+        parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
+    if not parts:
+        return np.empty((2, 0), dtype=xs.dtype)
     return np.concatenate(parts, axis=1)
 
 
@@ -267,8 +283,7 @@ def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]
     exactly p per level once every residue in play is smooth.  `tables`
     are `_lift_tables(f, p)`, built here unless the caller has them.
     """
-    if m < 1:
-        raise ValueError("level must be >= 1")
+    _check_level(p, m)
     _check_vector_safe(p**m)
     if tables is None:
         tables = _lift_tables(f, p)  # first, so that its cap guards the level-1 scan

@@ -64,7 +64,7 @@ from .counting import (
     _residue_partials,
     lift_levels,
 )
-from .padic import is_prime
+from .padic import _check_level
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
 
@@ -92,10 +92,7 @@ class PhaseSpec:
     u: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p}")
-        if self.m < 1:
-            raise ValueError(f"phase level must be >= 1, got {self.m}")
+        _check_level(self.p, self.m, "phase level")
         if self.u % self.p == 0:
             raise ValueError(
                 f"u = {self.u} is divisible by p = {self.p}; "

@@ -38,7 +38,7 @@ import numpy as np
 
 from .counting import BRUTE_BUDGET, BudgetError, _extend_pairs, _int_dtype, lift_points
 from .expsums import SumRecord
-from .padic import INFINITY, _int_valuation, is_prime
+from .padic import INFINITY, _check_level, _int_valuation
 from .polynomials import BiPoly
 from .series import (
     CurvePoint,
@@ -145,8 +145,7 @@ def curve_depth(f: BiPoly, p: int, probe: int = 3) -> CurveDepthReport:
     level, in which case rerunning with a larger probe is the remedy.  Only
     points where both partials vanish mod p^level go through `point_depth`.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_level(p, probe, "probe")
     level = 2 * probe
     pts = lift_points(f, p, level)
     partials = np.array([f.partial(v).horner(pts.xs, pts.ys, p**level) for v in "xy"])
@@ -426,10 +425,7 @@ def contact_exponent(
     det != 0 mod p^((k+1)//2), det = f_x J_y - f_y J_x; exact hits are
     sieved in int64.  Witnesses are measured in frontier order.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if depth < 1:
-        raise ValueError(f"search depth must be >= 1, got {depth}")
+    _check_level(p, depth, "search depth")
     if g.is_constant:
         raise WeightConstantError("weight polynomial is constant")
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")

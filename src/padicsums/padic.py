@@ -51,6 +51,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_level(p: int, m: int = 1, what: str = "level") -> None:
+    """Refuse (ValueError) a p that is not prime, or a level m below 1.
+
+    The one check of (p, m) for every entry point that works mod p^m; `what`
+    names m in the message.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if m < 1:
+        raise ValueError(f"{what} must be >= 1, got {m}")
+
+
 def _int_valuation(n: int, p: int) -> int:
     # n != 0 assumed
     v = 0
@@ -66,8 +78,7 @@ def valuation(value: int | Fraction, p: int, den: int = 1):
     Additivity v(ab) = v(a) + v(b) holds exactly, so the valuation of a
     fraction never depends on the representative chosen.
     """
-    if p < 2 or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    _check_level(p)
     if den == 0:
         raise ZeroDivisionError("denominator is zero")
     if isinstance(value, Fraction):

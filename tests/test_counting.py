@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from padicsums import counting
 from padicsums.counting import (
     BudgetError,
     PointSet,
@@ -18,6 +19,7 @@ from padicsums.counting import (
     write_points,
 )
 from padicsums.counting import (
+    _GRID_BLOCK,
     _PAIR_BLOCK,
     _extend_pairs,
     _lift_step,
@@ -141,11 +143,41 @@ def test_lift_matches_brute_and_grid(text, p):
 
 
 def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
-    # q = 1024: blocks of 976 rows, the last one 48 rows
+    # q = 729: an int32 grid in blocks of 179 rows, the last one 13 rows
     f = parse_poly("y^2 - x^3 - x")
-    found = brute_points(f, 2, 10).pairs()
-    assert len(found) == 512
-    assert found == grid_oracle(f, 2, 10)
+    assert (_GRID_BLOCK // 729, 729 % (_GRID_BLOCK // 729)) == (179, 13)
+    found = brute_points(f, 3, 6).pairs()
+    assert len(found) == 729
+    assert found == grid_oracle(f, 3, 6)
+
+
+@pytest.mark.parametrize("text, p", [("x^2 - 2", 5), ("x - y^2", 3)])
+def test_lift_matches_brute_with_empty_fibers(text, p):
+    # x^2 - 2 has no point mod 5 (2 is not a square); x - y^2 at p = 3 is
+    # smooth in x alone where 3 | y, smooth in y elsewhere
+    f = parse_poly(text)
+    for level in lift_levels(f, p, 5):
+        assert level.same_points(brute_points(f, p, level.m)), (text, level.m)
+
+
+def test_lift_step_of_no_points():
+    f = parse_poly("y^2 - x^3")
+    empty = np.zeros(0, dtype=np.int64)
+    out = _lift_step(f, empty, empty, 5, 2, _lift_tables(f, 5))
+    assert out.shape == (2, 0) and out.dtype == np.int64
+
+
+def test_smooth_lifts_test_no_digit_pairs(monkeypatch):
+    # y - x^2 has f_y = 1: only the level-1 scan tests digit pairs
+    calls = []
+
+    def spy(polys, xs, ys, p, k):
+        calls.append(k)
+        return _extend_pairs(polys, xs, ys, p, k)
+
+    monkeypatch.setattr(counting, "_extend_pairs", spy)
+    assert len(lift_points(parse_poly("y - x^2"), 5, 4)) == 5**4
+    assert calls == [0]
 
 
 def test_lift_handles_singular_residues():
@@ -193,6 +225,23 @@ def test_brute_budget():
     f = parse_poly("y - x^2")
     with pytest.raises(BudgetError):
         brute_points(f, 5, 4, budget=100)
+
+
+@pytest.mark.parametrize(
+    "enumerate_, p, m, message",
+    [
+        (brute_points, 4, 2, "p must be prime, got 4"),
+        (brute_points, -3, 1, "p must be prime, got -3"),
+        (brute_points, 5, 0, "level must be >= 1, got 0"),
+        (lift_points, 0, 1, "p must be prime, got 0"),
+        (lift_points, 4, 2, "p must be prime, got 4"),
+        (lift_points, 5, 0, "level must be >= 1, got 0"),
+        (count_report, 1, 3, "p must be prime, got 1"),
+    ],
+)
+def test_enumerations_refuse_a_bad_p_or_level(enumerate_, p, m, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_(parse_poly("y - x^2"), p, m)
 
 
 def test_lift_refuses_a_level_one_grid_above_the_brute_cap():

@@ -129,6 +129,11 @@ def test_curve_depth_rejects_a_non_prime(p):
         curve_depth(parse_poly("y - x^2"), p)
 
 
+def test_curve_depth_rejects_a_probe_below_one():
+    with pytest.raises(ValueError, match="probe must be >= 1, got 0"):
+        curve_depth(parse_poly("y - x^2"), 5, 0)
+
+
 # -- contact orders -------------------------------------------------------------
 
 

@@ -75,6 +75,33 @@ def test_horner_matches_evaluate_on_object_arrays():
     assert f.horner(xs, ys, q).tolist() == [f.evaluate(x, y, q) for x, y in pairs]
 
 
+@pytest.mark.parametrize(
+    "q, dtype",
+    [
+        (46337, np.int32),  # the largest prime with q^2 < 2^31
+        (3**9, np.int32),
+        (2**31 - 1, np.int64),
+        (2**61 - 1, object),
+        (3**60, object),
+    ],
+)
+def test_horner_is_exact_at_each_dtype_edge(q, dtype):
+    # Horner's values stay below q^2 - q only once x, y and the coefficients
+    # are reduced: the dtype's extreme coordinates and coefficients far past
+    # int64 overflow any step that skips a reduction.
+    f = BiPoly({(3, 2): 3**50, (1, 4): -7, (2, 1): -(2**70) - 1, (0, 3): q - 1, (0, 0): 5})
+    if dtype is object:
+        coords = [0, 1, q - 1, q, -1, -(q - 1), -(2**100), 2**100 + 7]
+    else:
+        info = np.iinfo(dtype)
+        coords = [0, 1, q - 1, q, -1, -(q - 1), int(info.min), int(info.max)]
+    grid = np.array(coords, dtype=dtype)
+    xs, ys = np.repeat(grid, len(coords)), np.tile(grid, len(coords))
+    got = f.horner(xs, ys, q)
+    assert got.dtype == dtype
+    assert got.tolist() == [f.evaluate(int(x), int(y), q) for x, y in zip(xs, ys)]
+
+
 @pytest.mark.parametrize("text", ["0", "6", "-4"])
 def test_horner_of_constant_keeps_the_operand_shape(text):
     f = parse_poly(text)
