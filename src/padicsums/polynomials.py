@@ -7,8 +7,11 @@ evaluation time.  The canonical string form (graded-lex term order, explicit
 
 Two evaluators, split by operand type.  `BiPoly.evaluate` takes Python ints
 and sums the terms with three-argument `pow`.  `BiPoly.horner` takes
-anything with `+`, `*` (and `%` when reducing): numpy arrays of points,
-truncated power series along a branch, and BiPolys (exact composition).  On
+anything with `+`, `*` (and `%` when reducing); the package passes it numpy
+arrays of points and BiPolys (exact composition).  A branch's truncated
+series are not among them: `series` composes a polynomial with a branch in
+the anchor's chart, with far fewer series products than a Horner in x over
+a Horner in y.  On
 Python ints Horner is the slower of the two: 3.3-8.3 us per call against
 0.65-1.25 us for the term sum, on three critical-locus search curves and
 their Jacobians mod 5^7 (2-core host, Python 3.11).  On arrays it is the
@@ -214,9 +217,11 @@ class BiPoly:
         """Value at non-scalar operands: Horner in y over Horner in x.
 
         Uses only `+`, `*` and, when `modulus` is given, `%`, so x and y may
-        be numpy arrays of points, truncated series (of one order cap) or,
-        with no modulus, polynomials: g.horner(x(s), y(s)) is the exact
-        composition g(x(s), y(s)) as a BiPoly.  Arrays may have one shape or
+        be numpy arrays of points or, with no modulus, polynomials:
+        g.horner(x(s), y(s)) is the exact composition g(x(s), y(s)) as a
+        BiPoly.  Other ring elements work too, but a branch's series are
+        composed by `Parametrization.compose_poly`, in the anchor's chart.
+        Arrays may have one shape or
         broadcast: x of shape (n, 1) and y of shape (1, q) evaluate the
         (n, q) grid, with each x-Horner step on n values only.  The result
         has the operands' broadcast shape even for a constant or zero
@@ -227,8 +232,8 @@ class BiPoly:
         arrays stay exact for modulus^2 < 2^31, int64 arrays for
         modulus <= 2^31.  Integer arrays are reduced by floor division,
         r = acc // modulus; acc -= r * modulus, since numpy divides an
-        array by a scalar about 4x faster than it takes `%`; Python ints,
-        object arrays and series use `%`.
+        array by a scalar about 4x faster than it takes `%`; Python ints
+        and object arrays use `%`.
         """
         if modulus is not None:
             x, y = x % modulus, y % modulus

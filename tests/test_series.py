@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsums.polynomials import BiPoly, parse_poly
 from padicsums.series import (
@@ -39,27 +40,30 @@ def _mul_trunc(a: list, b: list, top: int, mod: int) -> list:
     return out
 
 
-def branch_oracle(f: BiPoly, p: int, precision: int, order: int) -> list:
-    """Coefficients of y(t) with f(t, y(t)) = 0, y(0) = 0, solved one order
-    at a time: the t^k coefficient of the residual determines the t^k digit
-    because f_y(0, 0) is a unit.  Requires an exact origin anchor."""
+def branch_oracle(f: BiPoly, p: int, precision: int, order: int, anchor=(0, 0)) -> list:
+    """Coefficients of h(t) with f(x0 + t, y0 + h(t)) = 0, h(0) = 0, solved
+    one order at a time: the t^k coefficient of the residual determines the
+    t^k digit because f_y(x0, y0) is a unit.  Requires an exact anchor; the
+    powers of x0 + t and y0 + h are expanded term by term, with no shift."""
     mod = p**precision
-    assert f.evaluate(0, 0) == 0
-    fy0 = f.partial("y").evaluate(0, 0)
+    x0, y0 = anchor
+    assert f.evaluate(x0, y0) == 0
+    fy0 = f.partial("y").evaluate(x0, y0)
     assert fy0 % p != 0
     inv = pow(fy0, -1, mod)
     coeffs = [0]
     for k in range(1, order + 1):
         coeffs.append(0)
         # residual coefficient of t^k for the current partial solution
-        xpow = [0, 1] + [0] * (k - 1)  # x = t
+        xpow = [x0 % mod, 1] + [0] * (k - 1)  # x = x0 + t
+        ypow = [y0 % mod] + coeffs[1:]  # y = y0 + h
         total = [0] * (k + 1)
         for (i, j), c in f.terms.items():
             term = [c % mod]
             for _ in range(i):
                 term = _mul_trunc(term, xpow, k, mod)
             for _ in range(j):
-                term = _mul_trunc(term, coeffs, k, mod)
+                term = _mul_trunc(term, ypow, k, mod)
             term += [0] * (k + 1 - len(term))
             total = [(u + v) % mod for u, v in zip(total, term)]
         coeffs[k] = (-total[k] * inv) % mod
@@ -101,6 +105,51 @@ def test_mixed_precision_rejected():
         a + b
     with pytest.raises(ValueError):
         a * TruncSeries.from_coeffs([1], 7, 4)
+
+
+# small integers, and ones far past p^n and int64 of either sign
+INTS = st.one_of(st.integers(-50, 50), st.integers(-(10**40), 10**40))
+COEFFS = st.lists(INTS, min_size=1, max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=40),
+    COEFFS,
+    COEFFS,
+    INTS,
+)
+def test_series_ring_matches_per_product_reduction(p, n, a_coeffs, b_coeffs, k):
+    # the reference reduces after every product and sum; the order caps differ
+    # whenever the lists do, and the shorter one sets the result's cap
+    mod = p**n
+    a, b = TruncSeries(tuple(a_coeffs), p, n), TruncSeries(tuple(b_coeffs), p, n)
+    ra, rb = [c % mod for c in a_coeffs], [c % mod for c in b_coeffs]
+    top = min(len(ra), len(rb)) - 1
+    expected = {
+        "a + b": [(u + v) % mod for u, v in zip(ra, rb)],
+        "a - b": [(u - v) % mod for u, v in zip(ra, rb)],
+        "a * b": _mul_trunc(ra, rb, top, mod),
+        "-a": [-u % mod for u in ra],
+        "a + k": [(ra[0] + k) % mod] + ra[1:],
+        "k + a": [(k + ra[0]) % mod] + ra[1:],
+        "a - k": [(ra[0] - k) % mod] + ra[1:],
+        "k - a": [(k - u) % mod if i == 0 else -u % mod for i, u in enumerate(ra)],
+        "a * k": [u * k % mod for u in ra],
+        "k * a": [k * u % mod for u in ra],
+    }
+    got = {
+        "a + b": a + b, "a - b": a - b, "a * b": a * b, "-a": -a,
+        "a + k": a + k, "k + a": k + a, "a - k": a - k, "k - a": k - a,
+        "a * k": a * k, "k * a": k * a,
+    }
+    for name, series in got.items():
+        built = TruncSeries(tuple(expected[name]), p, n)
+        assert series.coeffs == built.coeffs, name
+        assert series == built and hash(series) == hash(built), name
+        assert repr(series) == repr(built), name
+        assert series.modulus == mod, name
 
 
 def test_truncation_aligns_to_shorter_operand():
@@ -217,8 +266,22 @@ def test_certify_point():
     assert not rough.exact and rough.level == 3
     with pytest.raises(ValueError):
         certify_point(f, 2, 5, 5, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="certification level must be >= 1"):
         certify_point(f, 2, 4, 5, 0)
+
+
+@pytest.mark.parametrize("p", [0, 1, 4, -5, 6])
+def test_certify_point_rejects_a_p_that_is_not_prime(p):
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        certify_point(parse_poly("y - x^2 - 1"), 0, 1, p, 1)
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_hensel_param_rejects_a_hand_built_point_whose_p_is_not_prime(p):
+    # p = 1 would loop forever in the valuation of a partial derivative
+    pt = CurvePoint(0, 1, p, 1)
+    with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+        hensel_param(parse_poly("y - x^2 - 1"), pt, order=4, precision=4)
 
 
 # -- Hensel parametrization ---------------------------------------------------------
@@ -261,19 +324,34 @@ BRANCH_CASES = [
 ]
 
 
+# anchors away from the origin, negative ones and ones past p^n among them
+ANCHORED_CASES = [
+    ("y - x - x*y", 5, 14, 8, (1, 2)),
+    ("x + y + y^2", 7, 14, 8, (-3, 7)),
+    ("y - x^2", 3, 14, 8, (-4, -9)),
+    ("y + y^2 - x^3", 5, 14, 8, (5**20 + 2, -(5**17) - 1)),
+    ("2*x + y + x*y + y^3", 3, 14, 9, (3**40, 7**30 + 1)),
+    ("y + 3*x^2 + x*y^2", 3, 14, 17, (-(3**30) - 2, 5)),
+]
+
+
 @pytest.mark.parametrize(
-    "text,p,n,top",
-    BRANCH_CASES,
+    "text,p,n,top,anchor",
+    [(*case, (0, 0)) for case in BRANCH_CASES] + ANCHORED_CASES,
     ids=[
         f"{text}-{p}" if (n, top) == (14, 8) else f"{text}-{p}-n{n}-order{top}"
         for text, p, n, top in BRANCH_CASES
-    ],
+    ]
+    + [f"{text}-{p}-at{a},{b}" for text, p, _, _, (a, b) in ANCHORED_CASES],
 )
-def test_branch_matches_undetermined_coefficients(text, p, n, top):
-    f = parse_poly(text)
-    pt = certify_point(f, 0, 0, p, 1)
-    param = hensel_param(f, pt, order=top, precision=n)
-    assert list(param.series.coeffs) == branch_oracle(f, p, n, top)
+def test_branch_matches_undetermined_coefficients(text, p, n, top, anchor):
+    # f is translated so the anchor lies on it exactly; an anchor only counts
+    # mod p^n
+    a, b = anchor
+    f = parse_poly(text).shift(-a, -b)
+    param = hensel_param(f, certify_point(f, a, b, p, 1), order=top, precision=n)
+    assert (param.anchor.x, param.anchor.y) == (a % p**n, b % p**n)
+    assert list(param.series.coeffs) == branch_oracle(f, p, n, top, anchor)
 
 
 def test_residual_is_exactly_zero():
@@ -388,6 +466,54 @@ def test_compose_poly_on_parabola():
     param = hensel_param(f, pt, order=5, precision=8)
     composed = param.compose_poly(g)
     assert composed.coeffs == (0, 1, 1, 0, 0, 0)
+
+
+G_TERMS = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+    st.one_of(st.integers(-99, 99), st.integers(-(10**30), 10**30)),
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    G_TERMS,
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=12),
+    st.lists(st.integers(-(10**20), 10**20), min_size=1, max_size=10),
+    INTS,
+    INTS,
+    st.sampled_from(["x", "y"]),
+)
+def test_compose_poly_matches_nested_horner(terms, p, n, h_tail, x0, y0, solve_for):
+    # the reference composes in the original coordinates: a Horner in y over
+    # a Horner in x, on the series x0 + t and y0 + h (or x0 + h and y0 + t)
+    g = BiPoly(terms)
+    h = TruncSeries((0, *h_tail), p, n)
+    param = Parametrization(CurvePoint(x0, y0, p, n), h, solve_for)
+    assert param.compose_poly(g) == g.horner(param.x_series(), param.y_series())
+
+
+@pytest.mark.parametrize(
+    "text,x,y,p,e,solve_for",
+    [
+        ("y^2 - x^3 - 25", 0, 5, 5, 1, "y"),
+        ("x^2 - y^3 - 25", 5, 0, 5, 1, "x"),
+        ("3*y + 3*x + 9*x*y + x^2", 0, 0, 3, 1, "x"),
+        ("3*y + 3*x + 9*x*y + x^2", 0, 0, 3, 1, "y"),
+    ],
+)
+def test_compose_poly_in_a_blown_up_chart_matches_nested_horner(text, x, y, p, e, solve_for):
+    # contact_order's chart: the curve translated to a depth-e point, blown up
+    # by rescale_srp, and parametrized at its origin
+    curve = rescale_srp(parse_poly(text).shift(x, y), p, e)
+    param = hensel_param(
+        curve, certify_point(curve, 0, 0, p, 1), order=12, precision=10, solve_for=solve_for
+    )
+    assert not any(param.residual(curve).coeffs)
+    for weight in ("x", "y", "x + y", "3*x^2 - 7*x*y + y^3 + 1", "x^4*y - 2*y^2"):
+        g = parse_poly(weight)
+        assert param.compose_poly(g) == g.horner(param.x_series(), param.y_series()), weight
 
 
 def test_eval_at_series_matches_pointwise():
