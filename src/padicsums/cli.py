@@ -13,9 +13,16 @@ is built from these tables once per process, on the first main() call, and
 each output's config block echoes the options that _COMMANDS lists.
 Options can also come from --config FILE (key=value lines, '#' comments);
 explicit flags win.  Config values go through the same parser as flags, so
-they are checked the same way.  Outputs embed the resolved configuration and
-use 15 significant digits, so identical configurations produce
-byte-identical files.
+they are checked the same way.
+
+The library returns values; this module alone writes them out, through one
+writer, `_write`.  A JSON output is one object, {"config": ..., <section>:
+...}, indented and key-sorted.  A CSV output is '# key=value' lines for the
+sorted config and any notes, then a column header and the rows; `points`
+writes its header and config as two such notes and rows of 'x,y' with no
+column header.  Every output embeds the resolved configuration, and floats
+of sum records are rounded to 15 significant digits, so identical
+configurations produce byte-identical files.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 usage, parse, or budget errors; 3 weight constant on the curve;
@@ -26,6 +33,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import dataclasses
 import functools
 import json
 import math
@@ -37,16 +46,14 @@ from .counting import (
     brute_points,
     lift_levels,
     lift_points,
-    write_points,
 )
 from .expsums import (
     PhaseSpec,
+    SumRecord,
     decay_records,
     sum_curve,
     sum_onevar,
     sum_parametric,
-    write_records_csv,
-    write_records_json,
 )
 from .invariants import (
     DEFAULT_SEARCH_BUDGET,
@@ -56,8 +63,6 @@ from .invariants import (
     contact_exponent,
     contact_exponent_onevar,
     decay_fit,
-    write_decay_csv,
-    write_decay_json,
 )
 from .padic import is_prime
 from .polynomials import PolySyntaxError, parse_poly, parse_univariate
@@ -154,9 +159,55 @@ def _resolved_config(args) -> dict:
     return out
 
 
-def _output(path: str | None):
-    """Write to --out or stdout; a context manager either way."""
-    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
+def _write(args, config: dict, sections: dict | None = None, *, notes=(), columns=(), rows=()):
+    """Write one output to --out or stdout: JSON with `sections`, else CSV.
+
+    JSON is {"config": config, **sections}.  CSV is a '# key=value' line per
+    sorted config key, one '# note' line per note, the `columns` header
+    (none if empty) and the rows.  Callers build only the format written.
+    """
+    out = open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout)
+    with out as fh:
+        if sections is not None:
+            json.dump({"config": config, **sections}, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+            return
+        for line in [f"{key}={config[key]}" for key in sorted(config)] + list(notes):
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        if columns:
+            writer.writerow(columns)
+        writer.writerows(rows)
+
+
+_RECORD_COLUMNS = ("p", "m", "u", "f", "g", "re", "im", "magnitude", "point_count", "normalized")
+
+
+def _sig15(x: float) -> float:
+    """Round to 15 significant digits so that outputs are stable."""
+    return float(f"{x:.15g}")
+
+
+def _record_fields(r: SumRecord) -> dict:
+    """A SumRecord's output fields by column, floats rounded by `_sig15`."""
+    values = (r.p, r.m, r.u, r.f, r.g, r.value.real, r.value.imag, r.magnitude,
+              r.point_count, r.normalized)
+    return {
+        col: _sig15(v) if isinstance(v, float) else v for col, v in zip(_RECORD_COLUMNS, values)
+    }
+
+
+def _write_records(args, config: dict, records) -> None:
+    """Sum records as a JSON "records" list or as CSV rows, per --format."""
+    if args.format == "json":
+        _write(args, config, {"records": [_record_fields(r) for r in records]})
+        return
+    rows = (
+        ["" if v is None else f"{v:.15g}" if isinstance(v, float) else v
+         for v in _record_fields(r).values()]
+        for r in records
+    )
+    _write(args, config, columns=_RECORD_COLUMNS, rows=rows)
 
 
 def _single_level(args) -> int:
@@ -186,17 +237,9 @@ def cmd_points(args) -> int:
         ps = lift_points(f, args.p, m)
     config = _resolved_config(args)
     config.update(method=method, budget=budget)
-    with _output(args.out) as fh:
-        write_points(ps, f, fh, extra_header={"config": json.dumps(config, sort_keys=True)})
+    notes = (f"p={ps.p} m={ps.m} f={f}", f"config={json.dumps(config, sort_keys=True)}")
+    _write(args, {}, notes=notes, rows=zip(ps.xs.tolist(), ps.ys.tolist()))
     return EXIT_OK
-
-
-def _emit_records(records, args, config) -> None:
-    with _output(args.out) as fh:
-        if args.format == "csv":
-            write_records_csv(records, fh, config)
-        else:
-            write_records_json(records, fh, config)
 
 
 def _onevar_poly(args):
@@ -235,7 +278,7 @@ def cmd_sum(args) -> int:
             records = [sum_curve(f, g, PhaseSpec(args.p, ps.m, args.u), ps) for ps in point_sets]
     if args.sigma is not None:
         records = [r.with_normalization(args.sigma) for r in records]
-    _emit_records(records, args, config)
+    _write_records(args, config, records)
     return EXIT_OK
 
 
@@ -262,21 +305,30 @@ def cmd_verify(args) -> int:
     report = decay_fit(records, cert, tolerance=args.tolerance)
     config = _resolved_config(args)
     config["exponent_confidence"] = cert.confidence
-    with _output(args.out) as fh:
-        if args.format == "csv":
-            write_decay_csv(report, fh, config)
-        else:
-            write_decay_json(report, fh, config)
+    if args.format == "json":
+        records = [_record_fields(r) for r in report.records]
+        fields = {**vars(report), "decay_rate": report.decay_rate, "records": records}
+        _write(args, config, {"report": fields})
+    else:
+        # log_p |S_m| of the nonzero records: the points the slope was fitted to
+        slope = "" if report.fitted_slope is None else f"{report.fitted_slope:.15g}"
+        notes = (
+            f"predicted_exponent={report.predicted_exponent:.15g}",
+            f"fitted_slope={slope}",
+            f"passed={report.passed}",
+        )
+        rows = (
+            (r.m, f"{math.log(r.magnitude, r.p):.15g}")
+            for r in report.records
+            if r.m not in report.zero_levels
+        )
+        _write(args, config, notes=notes, columns=("m", "logp_magnitude"), rows=rows)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_sigma(args) -> int:
     cert, _ = _certificate(args)
-    config = _resolved_config(args)
-    payload = {"config": config, "certificate": cert.to_json_dict()}
-    with _output(args.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(args, _resolved_config(args), {"certificate": dataclasses.asdict(cert)})
     return EXIT_OK
 
 
@@ -294,8 +346,7 @@ def cmd_param(args) -> int:
     l = _OPTIONS["l"]["default"] if args.l is None else args.l
     config = _resolved_config(args)
     config.update(u=u, l=l)
-    payload = {
-        "config": config,
+    sections = {
         "parametrization": {
             "anchor": [param.anchor.x, param.anchor.y],
             "solve_for": param.solve_for,
@@ -307,11 +358,8 @@ def cmd_param(args) -> int:
     if args.g is not None:
         g = parse_poly(args.g)
         phase = PhaseSpec(args.p, _single_level(args), u)
-        record = sum_parametric(param, g, l, phase)
-        payload["sum"] = record.to_json_dict()
-    with _output(args.out) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        sections["sum"] = _record_fields(sum_parametric(param, g, l, phase))
+    _write(args, config, sections)
     return EXIT_OK
 
 

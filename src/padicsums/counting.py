@@ -19,14 +19,15 @@ Point sets and lifting stay in int64; guards cap the modulus so that every
 intermediate product provably fits.  The brute grid is evaluated in int32
 when q^2 < 2^31, which holds under the default budget of 10^8 cells, in
 blocks of about 2^17 cells, so each block's arrays stay cache-sized.
+
+The module returns point sets and writes nothing; the command line front
+end, `padicsums.cli`, owns the text format of `points`.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import IO, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -35,14 +36,10 @@ from .polynomials import BiPoly
 
 __all__ = [
     "BudgetError",
-    "CountReport",
     "PointSet",
     "brute_points",
-    "count_report",
     "lift_levels",
     "lift_points",
-    "read_points",
-    "write_points",
 ]
 
 BRUTE_BUDGET = 10**8
@@ -62,9 +59,10 @@ class BudgetError(RuntimeError):
 class PointSet:
     """Solutions of f = 0 in (Z/p^m)^2, lexicographically sorted, no duplicates.
 
-    Points are sorted and deduplicated by the key x*q + y, q = p^m.  Every
-    PointSet has q <= 2^31 (the int64 evaluation cap), so keys stay below
-    q^2 <= 2^62 and fit in int64.
+    p must be prime and m >= 1, checked first.  Points are sorted and
+    deduplicated by the key x*q + y, q = p^m.  Every PointSet has
+    q <= 2^31 (the int64 evaluation cap), so keys stay below q^2 <= 2^62
+    and fit in int64.
     """
 
     p: int
@@ -73,6 +71,7 @@ class PointSet:
     ys: np.ndarray
 
     def __post_init__(self):
+        _check_level(self.p, self.m)
         q = self.p**self.m
         xs = np.asarray(self.xs, dtype=np.int64)
         ys = np.asarray(self.ys, dtype=np.int64)
@@ -304,81 +303,3 @@ def lift_points(f: BiPoly, p: int, m: int) -> PointSet:
         last = level
     assert last is not None
     return last
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Growth of Card(Y_m) against the p^m law for a range of levels."""
-
-    p: int
-    m_values: tuple[int, ...]
-    counts: tuple[int, ...]
-    ratios: tuple[Fraction, ...]
-    density: Fraction
-    stabilized: bool
-    stable_from: int | None
-
-
-def count_report(f: BiPoly, p: int, m_max: int) -> CountReport:
-    """Counts for m = 1..m_max, consecutive ratios, and the density.
-
-    The density Card(Y_m)/p^m is exact (a Fraction); `stabilized` records
-    whether the ratios lock onto p from some level `stable_from` onwards,
-    which is the dimension-one growth law for a curve with smooth lifting
-    behavior in the tested range.
-    """
-    counts = [len(level) for level in lift_levels(f, p, m_max)]
-    ratios = [Fraction(counts[i + 1], counts[i]) if counts[i] else Fraction(0)
-              for i in range(len(counts) - 1)]
-    stable_from = None
-    for start in range(len(counts)):
-        if all(counts[i + 1] == p * counts[i] for i in range(start, len(counts) - 1)):
-            stable_from = start + 1  # smallest m with exact p-fold growth onward
-            break
-    return CountReport(
-        p=p,
-        m_values=tuple(range(1, m_max + 1)),
-        counts=tuple(counts),
-        ratios=tuple(ratios),
-        density=Fraction(counts[-1], p**m_max),
-        stabilized=stable_from is not None,
-        stable_from=stable_from,
-    )
-
-
-# -- serialization ------------------------------------------------------------
-
-
-def write_points(ps: PointSet, f: BiPoly, fh: IO[str], extra_header: dict | None = None) -> None:
-    """Write 'x,y' lines under a '# p=.. m=.. f=..' header."""
-    fh.write(f"# p={ps.p} m={ps.m} f={f}\n")
-    for key, value in (extra_header or {}).items():
-        fh.write(f"# {key}={value}\n")
-    for x, y in zip(ps.xs, ps.ys):
-        fh.write(f"{int(x)},{int(y)}\n")
-
-
-_HEADER_RE = re.compile(r"^#\s*p=(\d+)\s+m=(\d+)\s+f=(.*)$")
-
-
-def read_points(fh: IO[str]) -> tuple[PointSet, dict]:
-    """Inverse of write_points; returns the set and the header fields."""
-    header: dict[str, str] = {}
-    xs, ys = [], []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _HEADER_RE.match(line)
-            if match:
-                header["p"], header["m"], header["f"] = match.groups()
-            else:
-                key, _, value = line[1:].strip().partition("=")
-                header.setdefault(key.strip(), value)
-            continue
-        sx, _, sy = line.partition(",")
-        xs.append(int(sx))
-        ys.append(int(sy))
-    p, m = int(header["p"]), int(header["m"])
-    return PointSet(p, m, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)), header

@@ -43,15 +43,17 @@ before any float conversion) and adds the characters with one kernel,
 `_char_sum`.  That kernel adds the terms with np.add.reduce in the given
 point order: the reduction is pairwise, so results are deterministic and
 the rounding error stays logarithmic in the term count.
+
+A `SumRecord` keeps the full float value; the command line front end,
+`padicsums.cli`, writes records out and rounds them to 15 significant
+digits there.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -69,18 +71,13 @@ from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
 
 __all__ = [
-    "CSV_COLUMNS",
     "PhaseSpec",
     "SumRecord",
     "decay_records",
     "sum_curve",
     "sum_onevar",
     "sum_parametric",
-    "write_records_csv",
-    "write_records_json",
 ]
-
-CSV_COLUMNS = ("p", "m", "u", "f", "g", "re", "im", "magnitude", "point_count", "normalized")
 
 
 @dataclass(frozen=True)
@@ -134,33 +131,6 @@ class SumRecord:
             raise ValueError(f"exponent must be >= 1, got {sigma}")
         scale = float(self.p) ** (self.m * (1.0 - 1.0 / sigma))
         return replace(self, normalized=self.magnitude / scale)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "u": self.u,
-            "f": self.f,
-            "g": self.g,
-            "re": _sig15(self.value.real),
-            "im": _sig15(self.value.imag),
-            "magnitude": _sig15(self.magnitude),
-            "point_count": self.point_count,
-            "normalized": None if self.normalized is None else _sig15(self.normalized),
-        }
-
-    def to_csv_row(self) -> list[str]:
-        d = self.to_json_dict()
-        out = []
-        for col in CSV_COLUMNS:
-            v = d[col]
-            out.append("" if v is None else (f"{v:.15g}" if isinstance(v, float) else str(v)))
-        return out
-
-
-def _sig15(x: float) -> float:
-    """Round to 15 significant digits so serialized output is stable."""
-    return float(f"{x:.15g}")
 
 
 def _phase_values(g: BiPoly, xs: np.ndarray, ys: np.ndarray, phase: PhaseSpec) -> np.ndarray:
@@ -358,24 +328,3 @@ def decay_records(
             )
         )
     return records
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def write_records_json(records: Sequence[SumRecord], fh: IO[str], config: dict | None = None) -> None:
-    payload = {
-        "config": config or {},
-        "records": [r.to_json_dict() for r in records],
-    }
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def write_records_csv(records: Sequence[SumRecord], fh: IO[str], config: dict | None = None) -> None:
-    for key in sorted(config or {}):
-        fh.write(f"# {key}={config[key]}\n")
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in records:
-        writer.writerow(r.to_csv_row())

@@ -29,10 +29,9 @@ one scalar Newton iteration, which also refines `hensel_param`'s anchors.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,8 +65,6 @@ __all__ = [
     "curve_depth",
     "decay_fit",
     "point_depth",
-    "write_decay_csv",
-    "write_decay_json",
 ]
 
 DEFAULT_SEARCH_DEPTH = 6
@@ -293,17 +290,6 @@ class Witness:
     chart_scale: int
     certified_by: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "level": self.level,
-            "order": self.order,
-            "leading_val": self.leading_val,
-            "chart_scale": self.chart_scale,
-            "certified_by": self.certified_by,
-        }
-
 
 @dataclass(frozen=True)
 class ExponentCertificate:
@@ -322,15 +308,6 @@ class ExponentCertificate:
     search_depth: int
     confidence: str
     notes: tuple[str, ...] = ()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "witnesses": [w.to_json_dict() for w in self.witnesses],
-            "search_depth": self.search_depth,
-            "confidence": self.confidence,
-            "notes": list(self.notes),
-        }
 
 
 def _capped_valuations(vals: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -417,8 +394,9 @@ def contact_exponent(
     when a dominant Jacobian monomial pins v(J) finite on the whole class,
     and at full depth small exact solutions are recognized directly.  Classes
     still open at `depth` (which must be >= 1) get up to `depth` more levels,
-    since they may die out deeper.  Points of the curve away from the
-    critical locus contribute order 1.
+    since they may die out deeper.  `budget` caps the digit-pair tests of
+    each level above the first and must be >= 1.  Points of the curve away
+    from the critical locus contribute order 1.
 
     A level is resolved in array passes: a classes x monomials valuation
     matrix refutes; the Newton hypothesis v(det) <= (k-1)/2 is exactly
@@ -426,6 +404,8 @@ def contact_exponent(
     sieved in int64.  Witnesses are measured in frontier order.
     """
     _check_level(p, depth, "search depth")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     if g.is_constant:
         raise WeightConstantError("weight polynomial is constant")
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
@@ -438,15 +418,16 @@ def contact_exponent(
     # Level 1 extends the one class mod p^0 under the brute scan's cap on
     # its p^2 digit pairs; the budget caps deeper levels.
     origin = np.zeros(1, dtype=np.int64)
-    curve_mod_p, _ = _extend_classes((f,), origin, origin, p, 0, BRUTE_BUDGET)
+    cx, cy = _extend_classes((f,), origin, origin, p, 0, BRUTE_BUDGET)
     notes: list[str] = []
-    if not len(curve_mod_p):
+    if not len(cx):
         return ExponentCertificate(
             1, (), depth, "certified", ("curve has no points mod p",)
         )
 
-    xs, ys = _extend_classes((f, jac), origin, origin, p, 0, BRUTE_BUDGET)
-    all_critical_mod_p = len(xs) == len(curve_mod_p)
+    critical = jac.horner(cx, cy, p) == 0  # the level-1 classes of (f, jac), in scan order
+    xs, ys = cx[critical], cy[critical]
+    all_critical_mod_p = bool(critical.all())
     det = f.partial("x") * jac.partial("y") - f.partial("y") * jac.partial("x")
 
     witnesses: list[Witness] = []
@@ -595,20 +576,6 @@ class DecayReport:
         """Per-level saving 1/exponent; predicted_exponent is its complement."""
         return 1.0 / self.exponent
 
-    def to_json_dict(self) -> dict:
-        return {
-            "exponent": self.exponent,
-            "predicted_exponent": self.predicted_exponent,
-            "decay_rate": self.decay_rate,
-            "fitted_slope": self.fitted_slope,
-            "a_estimate": self.a_estimate,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "all_zero": self.all_zero,
-            "zero_levels": list(self.zero_levels),
-            "records": [r.to_json_dict() for r in self.records],
-        }
-
 
 def _is_zero_magnitude(record: SumRecord) -> bool:
     # float cancellation noise grows with the term count
@@ -671,23 +638,3 @@ def decay_fit(
         zero_levels=zero_levels,
         records=normalized,
     )
-
-
-def write_decay_json(report: DecayReport, fh: IO[str], config: dict | None = None) -> None:
-    payload = {"config": config or {}, "report": report.to_json_dict()}
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def write_decay_csv(report: DecayReport, fh: IO[str], config: dict | None = None) -> None:
-    """Two columns: level m and log_p of the magnitude (nonzero records only)."""
-    for key in sorted(config or {}):
-        fh.write(f"# {key}={config[key]}\n")
-    fh.write(f"# predicted_exponent={report.predicted_exponent:.15g}\n")
-    slope = "" if report.fitted_slope is None else f"{report.fitted_slope:.15g}"
-    fh.write(f"# fitted_slope={slope}\n")
-    fh.write(f"# passed={report.passed}\n")
-    fh.write("m,logp_magnitude\n")
-    for r in report.records:
-        if not _is_zero_magnitude(r):
-            fh.write(f"{r.m},{math.log(r.magnitude, r.p):.15g}\n")

@@ -1,0 +1,84 @@
+"""Test-only references: the count-growth report and the `points` reader.
+
+Neither has a caller in the package.  `count_report` measures the growth
+law the acceptance criterion on count stabilization checks; `read_points`
+parses the text that `padicsums points` writes, so tests can round-trip it.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import IO
+
+import numpy as np
+
+from padicsums.counting import PointSet, lift_levels
+from padicsums.polynomials import BiPoly
+
+
+@dataclass(frozen=True)
+class CountReport:
+    """Growth of Card(Y_m) against the p^m law for a range of levels."""
+
+    p: int
+    m_values: tuple[int, ...]
+    counts: tuple[int, ...]
+    ratios: tuple[Fraction, ...]
+    density: Fraction
+    stabilized: bool
+    stable_from: int | None
+
+
+def count_report(f: BiPoly, p: int, m_max: int) -> CountReport:
+    """Counts for m = 1..m_max, consecutive ratios, and the density.
+
+    The density Card(Y_m)/p^m is exact (a Fraction); `stabilized` records
+    whether the ratios lock onto p from some level `stable_from` onwards,
+    which is the dimension-one growth law for a curve with smooth lifting
+    behavior in the tested range.
+    """
+    counts = [len(level) for level in lift_levels(f, p, m_max)]
+    ratios = [Fraction(counts[i + 1], counts[i]) if counts[i] else Fraction(0)
+              for i in range(len(counts) - 1)]
+    stable_from = None
+    for start in range(len(counts)):
+        if all(counts[i + 1] == p * counts[i] for i in range(start, len(counts) - 1)):
+            stable_from = start + 1  # smallest m with exact p-fold growth onward
+            break
+    return CountReport(
+        p=p,
+        m_values=tuple(range(1, m_max + 1)),
+        counts=tuple(counts),
+        ratios=tuple(ratios),
+        density=Fraction(counts[-1], p**m_max),
+        stabilized=stable_from is not None,
+        stable_from=stable_from,
+    )
+
+
+_HEADER_RE = re.compile(r"^#\s*p=(\d+)\s+m=(\d+)\s+f=(.*)$")
+
+
+def read_points(fh: IO[str]) -> tuple[PointSet, dict]:
+    """Parse `points` output: the set and the '#' header fields."""
+    header: dict[str, str] = {}
+    xs, ys = [], []
+    for line in fh:
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            match = _HEADER_RE.match(line)
+            if match:
+                header["p"], header["m"], header["f"] = match.groups()
+            else:
+                key, _, value = line[1:].strip().partition("=")
+                header.setdefault(key.strip(), value)
+            continue
+        sx, _, sy = line.partition(",")
+        xs.append(int(sx))
+        ys.append(int(sy))
+    p, m = int(header["p"]), int(header["m"])
+    return PointSet(p, m, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)), header

@@ -10,12 +10,13 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from padicsums.counting import brute_points, count_report, lift_points
+from padicsums.counting import brute_points, lift_points
 from padicsums.expsums import PhaseSpec, decay_records, sum_curve, sum_parametric
 from padicsums.invariants import contact_exponent, contact_exponent_onevar, contact_order, decay_fit
 from padicsums.padic import additive_char, valuation
 from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import certify_point, hensel_param, rescale_srp
+from references import count_report
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:

@@ -11,8 +11,8 @@ import pytest
 
 from padicsums import cli
 from padicsums.cli import main
-from padicsums.counting import read_points
 from padicsums.invariants import DEFAULT_SEARCH_BUDGET, WeightConstantError
+from references import read_points
 
 
 def run(capsys, *argv):
@@ -525,6 +525,35 @@ def test_verify_embeds_confidence(capsys):
     payload = json.loads(out)
     assert payload["config"]["exponent_confidence"] == "certified"
     assert payload["report"]["passed"] is True
+
+
+# Each output format byte for byte, kept in tests/golden/<id>.txt.  The
+# inputs print stably: every float is an exact zero or integer, or a CSV
+# value rounded to 15 digits.
+GOLDEN = {
+    "points": ("points", "--p", "3", "--m", "2", "--f", "y - x^2"),
+    "sum-json": ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y"),
+    "sum-csv": ("sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y", "--format", "csv",
+                "--sigma", "2"),
+    "verify-json": ("verify", "--p", "3", "--m", "2..4", "--f", "y - x", "--g", "x"),
+    "verify-csv": ("verify", "--p", "5", "--m", "3..8", "--f", "y - x^2", "--g", "y",
+                   "--format", "csv"),
+    "verify-csv-all-zero": ("verify", "--p", "3", "--m", "1..6", "--f", "y - x", "--g", "x",
+                            "--format", "csv"),
+    "sigma": ("sigma", "--p", "7", "--f", "y - x^3", "--g", "y"),
+    "param": ("param", "--p", "5", "--f", "y - x^2", "--at", "0,0", "--order", "4"),
+    "param-sum": ("param", "--p", "5", "--f", "y - x^2", "--at", "0,0", "--order", "8",
+                  "--precision", "10", "--g", "y", "--m", "6", "--l", "4"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_output_is_byte_identical_to_its_golden_file(capsys, tmp_path, name):
+    golden = (Path(__file__).parent / "golden" / f"{name}.txt").read_bytes()
+    assert run(capsys, *GOLDEN[name]) == (0, golden.decode("utf-8"), "")
+    path = tmp_path / "out.txt"
+    assert run(capsys, *GOLDEN[name], "--out", str(path)) == (0, "", "")
+    assert path.read_bytes() == golden
 
 
 # -- determinism and files -----------------------------------------------------------

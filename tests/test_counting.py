@@ -1,22 +1,20 @@
-"""Point enumeration: brute grid scan vs digit-lifting, growth, serialization."""
+"""Point enumeration: brute grid scan vs digit-lifting, growth, the points text."""
 
 import io
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from padicsums import counting
+from padicsums import cli, counting
 from padicsums.counting import (
     BudgetError,
     PointSet,
     brute_points,
-    count_report,
     lift_levels,
     lift_points,
-    read_points,
-    write_points,
 )
 from padicsums.counting import (
     _GRID_BLOCK,
@@ -29,6 +27,7 @@ from padicsums.counting import (
 )
 from padicsums.invariants import _extend_classes
 from padicsums.polynomials import parse_poly
+from references import count_report, read_points
 
 
 def grid_oracle(f, p, m):
@@ -227,6 +226,16 @@ def test_brute_budget():
         brute_points(f, 5, 4, budget=100)
 
 
+def point_set(f, p, m):
+    """A PointSet of the point (0, 0) at (p, m); f is not read."""
+    return PointSet(p, m, np.array([0]), np.array([0]))
+
+
+def reduce_mod(f, p, m):
+    """The points of f mod p^2, reduced mod p^m."""
+    return lift_points(f, p, 2).reduce_mod(m)
+
+
 @pytest.mark.parametrize(
     "enumerate_, p, m, message",
     [
@@ -237,6 +246,10 @@ def test_brute_budget():
         (lift_points, 4, 2, "p must be prime, got 4"),
         (lift_points, 5, 0, "level must be >= 1, got 0"),
         (count_report, 1, 3, "p must be prime, got 1"),
+        (point_set, 4, 1, "p must be prime, got 4"),
+        (point_set, 5, 0, "level must be >= 1, got 0"),
+        (reduce_mod, 5, 0, "level must be >= 1, got 0"),
+        (reduce_mod, 5, -1, "level must be >= 1, got -1"),
     ],
 )
 def test_enumerations_refuse_a_bad_p_or_level(enumerate_, p, m, message):
@@ -329,17 +342,15 @@ def test_system_tree_budget():
 # -- serialization ---------------------------------------------------------------------
 
 
-def test_write_read_round_trip():
+def test_write_read_round_trip(capsys):
+    # the CLI writes the points; the test-only reader parses them back
     f = parse_poly("y - x^2")
-    ps = lift_points(f, 5, 2)
-    buf = io.StringIO()
-    write_points(ps, f, buf, extra_header={"note": "unit test"})
-    buf.seek(0)
-    back, header = read_points(buf)
-    assert back.same_points(ps)
+    assert cli.main(["points", "--p", "5", "--m", "2", "--f", "y - x^2"]) == 0
+    back, header = read_points(io.StringIO(capsys.readouterr().out))
+    assert back.same_points(lift_points(f, 5, 2))
     assert (header["p"], header["m"]) == ("5", "2")
     assert header["f"] == str(f)  # survives spaces in the polynomial text
-    assert header["note"] == "unit test"
+    assert json.loads(header["config"])["command"] == "points"
 
 
 def test_read_points_parses_canonical_header():

@@ -5,9 +5,9 @@ scan, one term at a time.  It shares no code with the package's vectorized
 character-sum kernel.
 """
 
+import argparse
 import cmath
 import csv
-import io
 import json
 import math
 
@@ -15,17 +15,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from padicsums import counting, expsums
+from padicsums import cli, counting, expsums
 from padicsums.expsums import (
-    CSV_COLUMNS,
     PhaseSpec,
     SumRecord,
     decay_records,
     sum_curve,
     sum_onevar,
     sum_parametric,
-    write_records_csv,
-    write_records_json,
 )
 from padicsums.counting import BudgetError, brute_points, lift_levels, lift_points
 from padicsums.padic import additive_char
@@ -545,16 +542,14 @@ def test_decay_records_enumerate_only_up_to_half_the_top_level(monkeypatch):
     assert [r.point_count for r in records] == [5**m for m in range(3, 10)]
 
 
-def test_json_round_trip_and_determinism():
-    f, g = parse_poly("y - x^2"), parse_poly("y")
-    records = decay_records(f, g, 5, [1, 2, 3])
-    bufs = []
+def test_json_round_trip_and_determinism(capsys):
+    argv = ["sum", "--p", "5", "--m", "1..3", "--f", "y - x^2", "--g", "y"]
+    outs = []
     for _ in range(2):
-        buf = io.StringIO()
-        write_records_json(records, buf, config={"p": 5, "f": str(f)})
-        bufs.append(buf.getvalue())
-    assert bufs[0] == bufs[1]
-    payload = json.loads(bufs[0])
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
     assert payload["config"]["p"] == 5
     assert len(payload["records"]) == 3
     got = payload["records"][1]
@@ -562,20 +557,19 @@ def test_json_round_trip_and_determinism():
     assert got["magnitude"] == pytest.approx(5.0)
 
 
-def test_csv_quotes_fields_with_commas():
+def test_csv_quotes_fields_with_commas(capsys):
     rec = SumRecord(5, 2, 1, "branch at (0, 0)", "y", complex(1, 0), 5)
-    buf = io.StringIO()
-    write_records_csv([rec], buf, config={"p": 5})
-    lines = buf.getvalue().splitlines()
+    cli._write_records(argparse.Namespace(format="csv", out=None), {"p": 5}, [rec])
+    lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "# p=5"
     rows = list(csv.reader(lines[1:]))
-    assert rows[0] == list(CSV_COLUMNS)
+    assert rows[0] == list(cli._RECORD_COLUMNS)
     assert rows[1][3] == "branch at (0, 0)"
     assert rows[1][0] == "5"
 
 
 def test_sig15_rounding_in_records():
     rec = SumRecord(5, 1, 1, "f", "g", complex(1 / 3, 2 / 7), 5)
-    d = rec.to_json_dict()
+    d = cli._record_fields(rec)
     assert d["re"] == float(f"{1 / 3:.15g}")
     assert d["im"] == float(f"{2 / 7:.15g}")

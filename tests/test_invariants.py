@@ -5,7 +5,6 @@ whose branch has a closed form, v(g(x) - g(x0)) along x = x0 + p^j must grow
 linearly in j with the claimed order as slope, all in integer arithmetic.
 """
 
-import io
 import json
 import math
 
@@ -26,10 +25,8 @@ from padicsums.invariants import (
     curve_depth,
     decay_fit,
     point_depth,
-    write_decay_csv,
-    write_decay_json,
 )
-from padicsums import invariants
+from padicsums import cli, invariants
 from padicsums.invariants import _HIT_SIEVE, _exact_hits, _refuted
 from padicsums.padic import _int_valuation, valuation
 from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
@@ -356,6 +353,17 @@ def test_exponent_rejects_a_search_depth_below_one(depth):
         contact_exponent(parse_poly("y^2 - x^3"), parse_poly("y"), 5, depth=depth)
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+@pytest.mark.parametrize("onevar", [False, True], ids=["curve", "onevar"])
+def test_exponent_rejects_a_budget_below_one(budget, onevar):
+    # refused before any work, with the message the CLI gives for --budget
+    with pytest.raises(ValueError, match=f"budget must be >= 1, got {budget}"):
+        if onevar:
+            contact_exponent_onevar(parse_poly("x^3"), 7, budget=budget)
+        else:
+            contact_exponent(parse_poly("x^3 + y^3 - 1"), parse_poly("x"), 7, budget=budget)
+
+
 def test_exponent_on_empty_curve():
     cert = contact_exponent(parse_poly("x^2 + 3*y^2 + 3"), parse_poly("y"), 3)
     assert cert.exponent == 1
@@ -626,17 +634,16 @@ def test_decay_end_to_end_on_vanishing_family():
     assert rep.zero_levels == (1, 2, 3, 4, 5, 6)
 
 
-def test_decay_writers():
-    f, g = parse_poly("y - x^2"), parse_poly("y")
-    rep = decay_fit(decay_records(f, g, 5, range(2, 6)), 2)
-    jbuf, cbuf = io.StringIO(), io.StringIO()
-    write_decay_json(rep, jbuf, config={"p": 5})
-    write_decay_csv(rep, cbuf, config={"p": 5})
-    payload = json.loads(jbuf.getvalue())
-    assert payload["config"] == {"p": 5}
+def test_decay_writers(capsys):
+    argv = ["verify", "--p", "5", "--m", "2..5", "--f", "y - x^2", "--g", "y"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"]["p"] == 5
+    assert payload["report"]["exponent"] == 2
     assert payload["report"]["passed"] is True
     assert payload["report"]["fitted_slope"] == pytest.approx(0.5, abs=1e-9)
-    lines = cbuf.getvalue().splitlines()
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert "# p=5" in lines
     assert "m,logp_magnitude" in lines
     data = [line for line in lines if not line.startswith("#") and "," in line][1:]
