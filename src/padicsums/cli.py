@@ -423,6 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config(argv))
+        for key in ("f", "g", "m", "at"):  # each goes on one '# key=value' line
+            value = getattr(args, key, None)
+            if value is not None and "".join(value.splitlines()) != value:
+                parser.error(f"--{key} must not contain a line break")
         if not is_prime(args.p):
             parser.error(f"p must be prime, got {args.p}")
         if args.command == "param" and args.g is not None and not args.m:

@@ -5,11 +5,14 @@ Two independent routes to the same set: `brute_points` scans the full
 one-step Hensel formula at residues where a partial derivative is a unit
 and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
 for the lifting route: the two share the evaluator (`BiPoly.horner`), not
-the enumeration.  One level of the lifting route is `_lift_step`, which
-starts from any points of Y_k: the stationary-phase sums of the expsums
-module use it to lift the singular subtrees, and `_lift_to` to lift one
-representative per smooth class to Y_m in a single Newton step.  The
-exhaustive digit-pair step, `_extend_pairs`, also serves the
+the enumeration.  Smooth points have one Newton division, `_lift_to`,
+which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel
+step.  One level of the lifting route is `_lift_step`: that step at
+m = k + 1 on the smooth points, their free digit tiled over 0..p-1, and
+digit pairs at the singular ones.  It starts from any points of Y_k: the
+stationary-phase sums of the expsums module use it to lift the singular
+subtrees, and `_lift_to` to lift one representative per smooth class to
+Y_m.  The exhaustive digit-pair step, `_extend_pairs`, also serves the
 critical-locus search of the invariants module.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
@@ -88,14 +91,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.xs)
 
-    def __contains__(self, pair) -> bool:
-        x, y = pair
-        q = self.p**self.m
-        return bool(((self.xs == x % q) & (self.ys == y % q)).any())
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(int(a), int(b)) for a, b in zip(self.xs, self.ys)]
-
     def same_points(self, other: "PointSet") -> bool:
         return (
             self.p == other.p
@@ -104,14 +99,6 @@ class PointSet:
             and bool(np.array_equal(self.xs, other.xs))
             and bool(np.array_equal(self.ys, other.ys))
         )
-
-    def reduce_mod(self, m_low: int) -> "PointSet":
-        """Image of the set under reduction mod p^m_low."""
-        if m_low > self.m:
-            raise ValueError("cannot reduce to a higher level")
-        q = self.p**m_low
-        keys = np.unique(self.xs % q * q + self.ys % q)
-        return PointSet(self.p, m_low, keys // q, keys % q)
 
 
 def _int_dtype(modulus: int):
@@ -206,55 +193,42 @@ def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
 def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables):
     """Every lift to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
 
-    At a point where f_y mod p is nonzero, each digit 0..p-1 becomes the
-    next digit of x and one Newton division gives the digit of y;
-    symmetrically where only f_x is a unit.  Where both partials vanish
-    mod p, all p^2 digit pairs are tested (`_extend_pairs`).  Columns come
-    as the smooth-y lifts, the smooth-x lifts, then the singular ones; a
-    fiber with no points costs no array work, and empty input gives a
-    (2, 0) array of its dtype.
+    The smooth points (a partial of f a unit mod p) are tiled over the p
+    digits of their free coordinate, digit-major: x where f_y is a unit
+    mod p, else y.  One Newton step of `_lift_to` then gives each tile its
+    digit of the solved coordinate.  Where both partials vanish mod p, all
+    p^2 digit pairs are tested (`_extend_pairs`).  Columns come as the
+    smooth-y lifts, the smooth-x lifts, then the singular ones; empty input
+    gives a (2, 0) array of its dtype.
     """
-    q, q1 = p**k, p ** (k + 1)
     fx_red, fy_red = _residue_partials(tables, xs, ys, p)
-    smooth_y = fy_red != 0
-    smooth_x = (~smooth_y) & (fx_red != 0)
-    singular = ~(smooth_y | smooth_x)
-    digits = np.arange(p, dtype=np.int64)
-
-    parts = []
-    # One Hensel step for both smooth fibers: row `solved` of the (x, y)
-    # candidates (y where f_y is a unit mod p, else x) gets its next digit
-    # by one Newton division; the other row takes every digit.
-    for solved, sel, partial in ((1, smooth_y, fy_red), (0, smooth_x, fx_red)):
-        n = int(np.count_nonzero(sel))
-        if n == 0:
-            continue
-        cand = np.tile(np.stack([xs[sel], ys[sel]]), p)
-        cand[1 - solved] += q * np.repeat(digits, n)
-        resid = f.horner(cand[0], cand[1], q1) // q
-        cand[solved] += q * (-resid * np.tile(tables[2][partial[sel]], p) % p)
-        parts.append(cand)
-
-    if singular.any():
-        parts.append(np.stack(_extend_pairs((f,), xs[singular], ys[singular], p, k)))
-    if not parts:
-        return np.empty((2, 0), dtype=xs.dtype)
-    return np.concatenate(parts, axis=1)
+    smooth = (fx_red != 0) | (fy_red != 0)
+    n = int(np.count_nonzero(smooth))
+    step = p**k * np.repeat(np.arange(p, dtype=xs.dtype), n)
+    free_x = np.tile(fy_red[smooth] != 0, p)
+    cx, cy = np.tile(xs[smooth], p), np.tile(ys[smooth], p)
+    cx, cy = np.where(free_x, cx + step, cx), np.where(free_x, cy, cy + step)
+    lifted = np.stack(_lift_to(f, cx, cy, p, k, k + 1, tables))
+    if n == len(xs):
+        return lifted
+    pairs = _extend_pairs((f,), xs[~smooth], ys[~smooth], p, k)
+    return np.concatenate([lifted, np.stack(pairs)], axis=1)
 
 
 def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, tables):
-    """Each smooth point of Y_k lifted to Y_m, k <= m <= 2k, with free digits 0.
+    """Each smooth point of Y_k lifted to the point of Y_m on its free coordinate.
 
-    The coordinate solved for is the one `_lift_step` solves for: y where
-    f_y is a unit mod p, else x.  With r = m - k <= k, f(P + p^k t) =
-    f(P) + p^k t f_s(P) mod p^m along that coordinate, so one Newton step
-    t = -(f(P)/p^k) w mod p^r is exact, w = 1/f_s(P) mod p^r; w starts
-    from the inverse table and doubles its precision by w(2 - f_s w).
-    This is the point r steps of `_lift_step` reach through free digit 0,
-    and the columns come in their order: the y-solved points, then the
-    x-solved ones, each in input order (at m = k, no step: the input as
-    given).  Only + * % //, np.where and a stable argsort act on the
-    arrays, so any integer dtype serves.
+    The coordinate solved for is y where f_y is a unit mod p, else x; the
+    free one stays as given, so a point reduced mod p^k gets free digits 0
+    up to p^m.  With r = m - k <= k, f(P + p^k t) = f(P) + p^k t f_s(P)
+    mod p^m along the solved coordinate, so one Newton step
+    t = -(f(P)/p^k) w mod p^r is exact, w = 1/f_s(P) mod p^r: the inverse
+    table gives w mod p, exact at r = 1, and for r >= 2 w doubles its
+    precision by w(2 - f_s w).  `_lift_step` is this step at r = 1 on
+    points whose free coordinate runs over every digit.  The columns come
+    as the y-solved points, then the x-solved ones, each in input order
+    (at m = k, no step: the input as given).  Only + * % //, np.where and
+    a stable argsort act on the arrays, so any integer dtype serves.
     """
     r = m - k
     if r == 0:
@@ -263,12 +237,13 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
     fx_red, fy_red = _residue_partials(tables, xs, ys, p)
     order = np.argsort(fy_red == 0, kind="stable")
     xs, ys, solve_y = xs[order], ys[order], fy_red[order] != 0
-    d = np.where(solve_y, f.partial("y").horner(xs, ys, qr), f.partial("x").horner(xs, ys, qr))
     w = tables[2][np.where(solve_y, fy_red[order], fx_red[order])]
-    precision = 1
-    while precision < r:
-        w = w * ((2 - d * w) % qr) % qr
-        precision *= 2
+    if r > 1:
+        d = np.where(solve_y, f.partial("y").horner(xs, ys, qr), f.partial("x").horner(xs, ys, qr))
+        precision = 1
+        while precision < r:
+            w = w * ((2 - d * w) % qr) % qr
+            precision *= 2
     step = q * (-(f.horner(xs, ys, p**m) // q) * w % qr)
     return np.where(solve_y, xs, xs + step), np.where(solve_y, ys + step, ys)
 

@@ -210,10 +210,14 @@ def sum_parametric(
     g is composed with the branch exactly, as a polynomial in s = t / p^l
     (truncating g(branch(t)) at t^T would not do: on restricted-shape
     branches the relaxed rule makes only the points exact mod p^m).  The
-    sum is then the one-variable sum of the module docstring, at level
-    m - l: cost p^ceil((m-l)/2) phases, after a composition of degree
-    deg(g) * T.  Like `sum_onevar` it needs p^(m-l) <= 2^31 and raises
-    BudgetError above that.  point_count is p^(m-l).
+    two coordinates of branch(p^l s) are read off the series coefficients,
+    h(p^l s) on the solved coordinate and p^l s on the free one, each plus
+    the anchor's coordinate mod p^n, and g is composed with them by one
+    `BiPoly.horner`.  The sum is then the one-variable sum of the module
+    docstring, at level m - l: cost p^ceil((m-l)/2) phases, after a
+    composition of degree deg(g) * T.  Like `sum_onevar` it needs
+    p^(m-l) <= 2^31 and raises BudgetError above that.  point_count is
+    p^(m-l).
     """
     if l < 0:
         raise ValueError("l must be >= 0")
@@ -237,13 +241,12 @@ def sum_parametric(
             "recompute the parametrization with a larger t-order"
         )
 
-    q = phase.denominator
+    q, mod = phase.denominator, param.series.modulus
     scale = param.p**l
-    x, y = (
-        BiPoly({(k, 0): c * scale**k for k, c in enumerate(series.coeffs)})
-        for series in (param.x_series(), param.y_series())
-    )
-    composed = g.horner(x, y)  # g(branch(p^l s)) as an exact polynomial in s
+    h = BiPoly({(k, 0): c * scale**k for k, c in enumerate(param.series.coeffs)})
+    t = BiPoly({(1, 0): scale})
+    x, y = (h, t) if param.solve_for == "x" else (t, h)
+    composed = g.horner(x + param.anchor.x % mod, y + param.anchor.y % mod)
     g0 = composed.coefficient(0, 0)
     # a float phase: u*g0 mod q exceeds int64 when q does
     value = _char_sum(np.array([float(phase.u * g0 % q)]), q)

@@ -12,6 +12,8 @@ f(branch(t)) == 0 mod (p^n, t^(T+1)) is asserted on every call.
 Polynomials are composed with a branch in the anchor's chart: shifted once
 so the anchor is the origin, where the free coordinate is t itself, so a
 composition costs one series product per power of the solved coordinate.
+`hensel_param` composes f and its solved partial that way, and
+`Parametrization.compose_poly` any polynomial.
 A Horner in y over a Horner in x costs about deg^2/2 + deg products: on
 y - x^2 and y - x^3 through (2, 3), p = 5, T = N = 16, `hensel_param` took
 0.85-1.0 ms per call that way and takes 0.35-0.45 ms in the chart (best of
@@ -271,7 +273,10 @@ class Parametrization:
 
     solve_for == "y": branch(t) = (x0 + t, y0 + h(t));
     solve_for == "x": branch(t) = (x0 + h(t), y0 + t).
-    h always has zero constant term, so branch(0) is the anchor itself.
+    h is `series`; it always has zero constant term, so branch(0) is the
+    anchor itself.  `compose_poly` composes a polynomial with the branch as
+    a truncated series; `expsums.sum_parametric` reads h's coefficients
+    directly, for a composition exact in s = t / p^l.
     """
 
     anchor: CurvePoint
@@ -286,52 +291,13 @@ class Parametrization:
     def n(self) -> int:
         return self.series.n
 
-    def x_series(self) -> TruncSeries:
-        t = _t_identity(self.series)
-        base = self.series if self.solve_for == "x" else t
-        return base + self.anchor.x
-
-    def y_series(self) -> TruncSeries:
-        t = _t_identity(self.series)
-        base = self.series if self.solve_for == "y" else t
-        return base + self.anchor.y
-
-    def point_at(self, t0, modulus: int | None = None):
-        """Coordinates of branch(t0) for an integer or an integer array t0.
-
-        h(t0) is evaluated with `BiPoly.horner` mod `modulus`, or mod p^n
-        when no modulus is given (the coordinates are then not reduced).  h
-        is only known mod p^n, so a modulus that does not divide p^n raises
-        ValueError.  An int64 array t0 needs modulus <= 2^31.
-        """
-        if modulus is not None and self.series.modulus % modulus:
-            raise ValueError(f"modulus {modulus} does not divide p^n = {self.series.modulus}")
-        h_poly = BiPoly({(k, 0): c for k, c in enumerate(self.series.coeffs)})
-        h = h_poly.horner(t0, 0, modulus or self.series.modulus)
-        x, y = self.anchor.x, self.anchor.y
-        if modulus is not None:  # so an int64 t0 never meets a large anchor
-            x, y = x % modulus, y % modulus
-        if self.solve_for == "y":
-            x, y = x + t0, y + h
-        else:
-            x, y = x + h, y + t0
-        if modulus is not None:
-            x, y = x % modulus, y % modulus
-        return x, y
-
     def compose_poly(self, g: BiPoly) -> TruncSeries:
         """g(branch(t)) as a truncated series, composed in the anchor's chart.
 
-        Called as `residual(f)` with the curve f, it is the zero series
-        exactly when the parametrization is valid.
+        With the curve f itself it is the zero series exactly when the
+        parametrization is valid.
         """
         return _compose_chart(g.shift(self.anchor.x, self.anchor.y), self.series, self.solve_for)
-
-    residual = compose_poly
-
-
-def _t_identity(model: TruncSeries) -> TruncSeries:
-    return TruncSeries.from_coeffs([0, 1], model.p, model.n, model.order_cap)
 
 
 def _compose_chart(G: BiPoly, h: TruncSeries, solve_for: str) -> TruncSeries:

@@ -1,8 +1,11 @@
-"""Test-only references: the count-growth report and the `points` reader.
+"""Test-only references, none of which has a caller in the package.
 
-Neither has a caller in the package.  `count_report` measures the growth
-law the acceptance criterion on count stabilization checks; `read_points`
-parses the text that `padicsums points` writes, so tests can round-trip it.
+`count_report` measures the growth law the acceptance criterion on count
+stabilization checks; `read_points` parses the text that `padicsums points`
+writes, so tests can round-trip it.  `x_series` and `y_series` give a
+branch's coordinates as series in t, the reference that
+`Parametrization.compose_poly` is tested against, and `branch_point` gives
+one point of a branch in Python ints.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 from padicsums.counting import PointSet, lift_levels
 from padicsums.polynomials import BiPoly
+from padicsums.series import Parametrization, TruncSeries
 
 
 @dataclass(frozen=True)
@@ -82,3 +86,26 @@ def read_points(fh: IO[str]) -> tuple[PointSet, dict]:
         ys.append(int(sy))
     p, m = int(header["p"]), int(header["m"])
     return PointSet(p, m, np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)), header
+
+
+def _t_identity(model: TruncSeries) -> TruncSeries:
+    return TruncSeries.from_coeffs([0, 1], model.p, model.n, model.order_cap)
+
+
+def x_series(param: Parametrization) -> TruncSeries:
+    """x0 + h(t) when solving for x, else x0 + t."""
+    base = param.series if param.solve_for == "x" else _t_identity(param.series)
+    return base + param.anchor.x
+
+
+def y_series(param: Parametrization) -> TruncSeries:
+    """y0 + h(t) when solving for y, else y0 + t."""
+    base = param.series if param.solve_for == "y" else _t_identity(param.series)
+    return base + param.anchor.y
+
+
+def branch_point(param: Parametrization, t0: int, q: int) -> tuple[int, int]:
+    """branch(t0) mod q, for a q that divides p^n."""
+    h = sum(c * t0**k for k, c in enumerate(param.series.coeffs))
+    dx, dy = (t0, h) if param.solve_for == "y" else (h, t0)
+    return (param.anchor.x + dx) % q, (param.anchor.y + dy) % q

@@ -184,7 +184,7 @@ def test_points_output_round_trips(capsys):
     code, out, _ = run(capsys, "points", "--p", "2", "--m", "2", "--f", "x*y - 1")
     assert code == 0
     ps, header = read_points(io.StringIO(out))
-    assert list(ps.pairs()) == [(1, 1), (3, 3)]
+    assert list(zip(ps.xs.tolist(), ps.ys.tolist())) == [(1, 1), (3, 3)]
     assert header["f"] == "x*y - 1"
     assert "config" in header
 
@@ -205,6 +205,30 @@ def test_sum_csv_format(capsys):
     assert any("command=sum" in c for c in comments)
     header_idx = lines.index(next(l for l in lines if l.startswith("p,")))
     assert len(lines) - header_idx - 1 == 3  # one row per level
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sum_refuses_a_line_break_in_the_curve(capsys, fmt):
+    # a config value is one '# key=value' line of the CSV block
+    code, out, err = run(
+        capsys, "sum", "--p", "5", "--m", "2", "--f", "y -\n x^2", "--g", "y", "--format", fmt
+    )
+    assert (code, out) == (2, "")
+    assert "--f must not contain a line break" in err
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["sum", "--p", "5", "--m", "2", "--f", "y - x^2", "--g", "y\r"], "g"),
+        (["verify", "--p", "5", "--m", "3..\u20285", "--f", "y - x^2", "--g", "y"], "m"),
+        (["param", "--p", "5", "--f", "y - x^2", "--at", "0,\x0b0"], "at"),
+    ],
+)
+def test_every_config_text_value_refuses_a_line_break(capsys, argv, key):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"--{key} must not contain a line break" in err
 
 
 def test_sum_onevar(capsys):

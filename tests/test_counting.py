@@ -30,6 +30,11 @@ from padicsums.polynomials import parse_poly
 from references import count_report, read_points
 
 
+def pairs(ps):
+    """The points of a PointSet as (x, y) tuples of Python ints, in order."""
+    return list(zip(ps.xs.tolist(), ps.ys.tolist()))
+
+
 def grid_oracle(f, p, m):
     """The definition, written as plainly as possible."""
     q = p**m
@@ -43,9 +48,7 @@ def grid_oracle(f, p, m):
 
 def test_pointset_sorts_and_validates():
     ps = PointSet(5, 1, np.array([3, 0, 1]), np.array([4, 0, 2]))
-    assert list(ps.pairs()) == [(0, 0), (1, 2), (3, 4)]
-    assert (1, 2) in ps
-    assert (1, 3) not in ps
+    assert pairs(ps) == [(0, 0), (1, 2), (3, 4)]
     assert len(ps) == 3
 
 
@@ -59,10 +62,7 @@ def test_pointset_rejects_duplicates_and_out_of_range():
 def test_pointset_key_order_at_the_cap():
     top = 2**31 - 1
     ps = PointSet(2, 31, np.array([top, 0, top]), np.array([0, top, top]))
-    assert list(ps.pairs()) == [(0, top), (top, 0), (top, top)]
-    assert (top, top) in ps
-    assert (-1, 0) in ps  # reduced mod 2^31 first
-    assert (0, 0) not in ps
+    assert pairs(ps) == [(0, top), (top, 0), (top, top)]
 
 
 def test_pointset_rejects_modulus_above_cap():
@@ -71,26 +71,19 @@ def test_pointset_rejects_modulus_above_cap():
         PointSet(2, 32, empty, empty)
 
 
-def test_pointset_reduce_mod():
-    f = parse_poly("y - x^2")
-    ps = lift_points(f, 3, 3)
-    low = ps.reduce_mod(1)
-    assert low.same_points(lift_points(f, 3, 1))
-
-
 # -- frozen small cases -------------------------------------------------------------
 
 
 def test_hyperbola_mod_4():
     f = parse_poly("x*y - 1")
-    assert list(lift_points(f, 2, 2).pairs()) == [(1, 1), (3, 3)]
-    assert list(brute_points(f, 2, 2).pairs()) == [(1, 1), (3, 3)]
+    assert pairs(lift_points(f, 2, 2)) == [(1, 1), (3, 3)]
+    assert pairs(brute_points(f, 2, 2)) == [(1, 1), (3, 3)]
 
 
 def test_circle_mod_3():
     # x^2 + y^2 = 2 mod 3 forces both coordinates nonzero
     f = parse_poly("x^2 + y^2 + 1")
-    assert list(brute_points(f, 3, 1).pairs()) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert pairs(brute_points(f, 3, 1)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
 def test_unit_group_count():
@@ -138,14 +131,14 @@ def test_lift_matches_brute_and_grid(text, p):
         lifted = lift_points(f, p, m)
         brute = brute_points(f, p, m)
         assert lifted.same_points(brute), (text, p, m)
-        assert list(lifted.pairs()) == grid_oracle(f, p, m), (text, p, m)
+        assert pairs(lifted) == grid_oracle(f, p, m), (text, p, m)
 
 
 def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
     # q = 729: an int32 grid in blocks of 179 rows, the last one 13 rows
     f = parse_poly("y^2 - x^3 - x")
     assert (_GRID_BLOCK // 729, 729 % (_GRID_BLOCK // 729)) == (179, 13)
-    found = brute_points(f, 3, 6).pairs()
+    found = pairs(brute_points(f, 3, 6))
     assert len(found) == 729
     assert found == grid_oracle(f, 3, 6)
 
@@ -190,8 +183,52 @@ def test_lift_levels_are_consistent_projections():
     f = parse_poly("y^2 - x^3 - x")
     levels = list(lift_levels(f, 3, 4))
     for k in range(1, 4):
-        higher = {(x % 3**k, y % 3**k) for x, y in levels[k].pairs()}
-        assert higher <= set(levels[k - 1].pairs())
+        higher = {(x % 3**k, y % 3**k) for x, y in pairs(levels[k])}
+        assert higher <= set(pairs(levels[k - 1]))
+
+
+def scalar_lift_step(f, points, p, k):
+    """`_lift_step` in Python ints: each solved digit found by trying all p."""
+    q, q1 = p**k, p ** (k + 1)
+    fx, fy = f.partial("x"), f.partial("y")
+    smooth_y, smooth_x, singular = [], [], []
+    for x, y in points:
+        if fy.evaluate(x, y) % p:
+            smooth_y.append((x, y))
+        elif fx.evaluate(x, y) % p:
+            smooth_x.append((x, y))
+        else:
+            singular.append((x, y))
+    columns = []
+    for a in range(p):  # digit-major: the free digit a, then the points in order
+        for x, y in smooth_y:
+            (b,) = [b for b in range(p) if f.evaluate(x + q * a, y + q * b) % q1 == 0]
+            columns.append((x + q * a, y + q * b))
+    for a in range(p):
+        for x, y in smooth_x:
+            (b,) = [b for b in range(p) if f.evaluate(x + q * b, y + q * a) % q1 == 0]
+            columns.append((x + q * b, y + q * a))
+    for x, y in singular:  # by class, then a, then b
+        for a in range(p):
+            columns += [(x + q * a, y + q * b) for b in range(p)
+                        if f.evaluate(x + q * a, y + q * b) % q1 == 0]
+    return columns
+
+
+@pytest.mark.parametrize("text", ["y^2 - x^3", "x - y^2", "x*y - 1", "y^2 - x^3 - x"])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lift_step_matches_a_scalar_digit_search_in_column_order(text, p):
+    # the curves mix residues where y is solved for, where x is, and singular ones
+    f = parse_poly(text)
+    tables = _lift_tables(f, p)
+    rng = np.random.default_rng(0)
+    for k in (1, 2, 3):
+        level = lift_points(f, p, k)
+        order = rng.permutation(len(level))  # columns follow the input order
+        xs, ys = level.xs[order], level.ys[order]
+        got = _lift_step(f, xs, ys, p, k, tables)
+        want = scalar_lift_step(f, list(zip(xs.tolist(), ys.tolist())), p, k)
+        assert list(zip(got[0].tolist(), got[1].tolist())) == want, k
 
 
 def zero_digit_lifts(f, xs, ys, p, k, m, tables):
@@ -231,11 +268,6 @@ def point_set(f, p, m):
     return PointSet(p, m, np.array([0]), np.array([0]))
 
 
-def reduce_mod(f, p, m):
-    """The points of f mod p^2, reduced mod p^m."""
-    return lift_points(f, p, 2).reduce_mod(m)
-
-
 @pytest.mark.parametrize(
     "enumerate_, p, m, message",
     [
@@ -248,8 +280,6 @@ def reduce_mod(f, p, m):
         (count_report, 1, 3, "p must be prime, got 1"),
         (point_set, 4, 1, "p must be prime, got 4"),
         (point_set, 5, 0, "level must be >= 1, got 0"),
-        (reduce_mod, 5, 0, "level must be >= 1, got 0"),
-        (reduce_mod, 5, -1, "level must be >= 1, got -1"),
     ],
 )
 def test_enumerations_refuse_a_bad_p_or_level(enumerate_, p, m, message):
@@ -357,5 +387,5 @@ def test_read_points_parses_canonical_header():
     text = "# p=3 m=2 f=-x^2 + y\n0,0\n1,1\n4,7\n"
     ps, header = read_points(io.StringIO(text))
     assert header["f"] == "-x^2 + y"
-    assert list(ps.pairs()) == [(0, 0), (1, 1), (4, 7)]
+    assert pairs(ps) == [(0, 0), (1, 1), (4, 7)]
     assert ps.p == 3 and ps.m == 2

@@ -28,6 +28,7 @@ from padicsums.counting import BudgetError, brute_points, lift_levels, lift_poin
 from padicsums.padic import additive_char
 from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import SeriesPrecisionError, certify_point, hensel_param
+from references import branch_point
 
 
 def direct_sum_oracle(f, g, p, m, u=1):
@@ -256,10 +257,10 @@ def test_parametric_exact_phases_above_int64_wall():
 
 
 def scalar_parametric_sum(param, g, l, phase):
-    """Reference loop: one point_at, evaluate and additive_char per t."""
+    """Reference loop: one branch point, evaluate and additive_char per t."""
     p, m, q = phase.p, phase.m, phase.denominator
     return sum(
-        additive_char(phase.u * g.evaluate(*param.point_at(t, q), q) % q, m, p)
+        additive_char(phase.u * g.evaluate(*branch_point(param, t, q), q) % q, m, p)
         for t in range(0, q, p**l)
     )
 

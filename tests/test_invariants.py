@@ -89,7 +89,8 @@ def scalar_curve_depth(f, p, probe):
     """curve_depth as one point_depth call per point: the reference."""
     level = 2 * probe
     best, witness, complete = 0, None, True
-    for x, y in lift_points(f, p, level).pairs():
+    points = lift_points(f, p, level)
+    for x, y in zip(points.xs.tolist(), points.ys.tolist()):
         d = point_depth(f, certify_point(f, x, y, p, level))
         if not d.exact:
             complete = False
@@ -117,7 +118,7 @@ def test_curve_depth_matches_the_scalar_loop(curve, p, probe, want):
     assert report == scalar_curve_depth(f, p, probe)
     assert (report.max_depth, report.complete, report.witness) == want
     if report.witness == (3, 7):
-        assert lift_points(f, p, 2 * probe).pairs()[0][0] == 0
+        assert lift_points(f, p, 2 * probe).xs[0] == 0
 
 
 @pytest.mark.parametrize("p", [0, 1, 4])
