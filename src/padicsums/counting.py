@@ -3,17 +3,22 @@
 Two independent routes to the same set: `brute_points` scans the full
 (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using the
 one-step Hensel formula at residues where a partial derivative is a unit
-and exhaustive digit pairs elsewhere.  The brute route exists as an oracle
-for the lifting route: the two share the evaluator (`BiPoly.horner`), not
-the enumeration.  Smooth points have one Newton division, `_lift_to`,
-which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel
-step.  One level of the lifting route is `_lift_step`: that step at
-m = k + 1 on the smooth points, their free digit tiled over 0..p-1, and
-digit pairs at the singular ones.  It starts from any points of Y_k: the
-stationary-phase sums of the expsums module use it to lift the singular
-subtrees, and `_lift_to` to lift one representative per smooth class to
-Y_m.  The exhaustive digit-pair step, `_extend_pairs`, also serves the
-critical-locus search of the invariants module.
+and digit pairs elsewhere.  The brute route exists as an oracle for the
+lifting route: the two share the evaluator (`BiPoly.horner`), not the
+enumeration.  Smooth points have one Newton division, `_newton_step`,
+which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step;
+`_lift_to` applies it to the points grouped by solved coordinate.  One
+level of the lifting route is `_lift_step`: that step at m = k + 1 on the
+smooth points, their free digit tiled over 0..p-1, and digit pairs at the
+singular ones.  It starts from any points of Y_k: the stationary-phase
+sums of the expsums module use it to lift the singular subtrees, and
+`_lift_to` to lift one representative per smooth class to Y_m.
+
+The digit-pair step, `_extend_pairs`, also serves the critical-locus
+search of the invariants module.  Above level 1 it is first-order Hensel
+too: on a class mod p^k, k >= 1, a polynomial is affine in the digit
+pair (a, b) mod p^(k+1), so three evaluations per class decide which of
+its p^2 pairs lift.  Only the level-1 scan evaluates every residue.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
@@ -116,25 +121,61 @@ def _check_vector_safe(q: int) -> None:
 def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     """Digit-pair lifts of the classes (xs, ys) mod p^k where all `polys` vanish.
 
-    Returns every (x + p^k a, y + p^k b) at which each polynomial is 0 mod
-    p^(k+1), ordered by class, then a, then b.  The arithmetic runs in the dtype of xs: int64 needs p^(k+1) <= 2^31,
-    object arrays of Python ints are exact at any level.  Candidates are
-    tested in blocks, so memory stays bounded at any p and class count.
+    Returns, as the columns of a (2, n) array, every (x + q a, y + q b),
+    q = p^k and a, b in 0..p-1, at which each polynomial is 0 mod p^(k+1),
+    ordered by class, then a, then b.
+
+    At k = 0 the pairs are the p^2 residues, and each is evaluated.  At
+    k >= 1, q^2 = 0 mod p^(k+1) and Taylor's formula has integral
+    coefficients, so
+
+        g(x + q a, y + q b) = g(x, y) + q (a g_x(x, y) + b g_y(x, y))  mod p^(k+1).
+
+    With v0, vx and vy the values of g at (x, y), (x + q, y) and (x, y + q)
+    mod p^(k+1), q g_x = vx - v0 and q g_y = vy - v0 there, so g at every
+    lift is v0 + a (vx - v0) + b (vy - v0): the pairs that lift solve a
+    linear condition mod p, read off three evaluations per class and
+    polynomial instead of p^2.  A class where g != 0 mod q has no lift,
+    since vx - v0 and vy - v0 are multiples of q.  (At k = 0 the q^2 terms
+    do not vanish, which is why level 1 stays a full scan.)
+
+    The arithmetic runs in the dtype of xs: int64 needs p^(k+1) <= 2^31,
+    object arrays of Python ints are exact at any level.  Work goes in
+    blocks of about `_PAIR_BLOCK` digit pairs (of one class and a run of
+    its digits a when p^2 is larger), so memory stays bounded at any p and
+    class count.
     """
-    q, q1 = p**k, p ** (k + 1)
-    found_x, found_y = [xs[:0]], [ys[:0]]
-    total = len(xs) * p * p
-    for start in range(0, total, _PAIR_BLOCK):
-        t = np.arange(start, min(start + _PAIR_BLOCK, total))
-        cls = t // (p * p)
-        cx = xs[cls] + q * (t // p % p).astype(xs.dtype)
-        cy = ys[cls] + q * (t % p).astype(xs.dtype)
-        for g in polys:
-            hit = g.horner(cx, cy, q1) == 0
-            cx, cy = cx[hit], cy[hit]
-        found_x.append(cx)
-        found_y.append(cy)
-    return np.concatenate(found_x), np.concatenate(found_y)
+    q, q1, pp = p**k, p ** (k + 1), p * p
+    found = [np.zeros((2, 0), dtype=xs.dtype)]
+    if k == 0:
+        total = len(xs) * pp
+        for start in range(0, total, _PAIR_BLOCK):
+            t = np.arange(start, min(start + _PAIR_BLOCK, total))
+            cls = t // pp
+            cx = xs[cls] + (t // p % p).astype(xs.dtype)
+            cy = ys[cls] + (t % p).astype(xs.dtype)
+            for g in polys:
+                hit = g.horner(cx, cy, q1) == 0
+                cx, cy = cx[hit], cy[hit]
+            found.append(np.stack([cx, cy]))
+        return np.concatenate(found, axis=1)
+    digits = np.arange(p, dtype=xs.dtype)
+    steps = q * digits
+    rows, span = max(1, _PAIR_BLOCK // pp), max(1, _PAIR_BLOCK // p)
+    for start in range(0, len(xs), rows):
+        bx, by = xs[start : start + rows], ys[start : start + rows]
+        px, py = np.concatenate([bx, bx + q, bx]), np.concatenate([by, by, by + q])
+        v = np.array([g.horner(px, py, q1) for g in polys]).reshape(len(polys), 3, -1, 1)
+        v0, vx, vy = v.swapaxes(0, 1)  # each (polys, classes, 1)
+        # (a, b) lifts where -(v0 + a (vx - v0)) = b (vy - v0) for every g
+        want = -(v0 + (vx - v0) * digits) % q1  # (polys, classes, a)
+        have = ((vy - v0) * digits % q1)[:, :, None, :]  # (polys, classes, 1, b)
+        # a block holds one class whenever it takes more than one run of a;
+        # one (2, n) piece per run, as many small long-lived pieces fragment the heap
+        for a0 in range(0, p, span):
+            cls, a, b = np.nonzero((want[:, :, a0 : a0 + span, None] == have).all(axis=0))
+            found.append(np.stack([bx[cls] + steps[a0:][a], by[cls] + steps[b]]))
+    return np.concatenate(found, axis=1)
 
 
 def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
@@ -190,29 +231,67 @@ def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
     return tables[0][cell], tables[1][cell]
 
 
+def _solved_groups(tables, xs: np.ndarray, ys: np.ndarray, p: int):
+    """The smooth points by solved coordinate, as (row, mask, w) triples.
+
+    First the points where y (row 1) is solved for, f_y a unit mod p, then
+    those where x (row 0) is, f_y = 0 and f_x a unit; w = 1/f_s mod p at
+    each point of the group, from the inverse table.  Points in neither
+    mask are singular.
+    """
+    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
+    on_y = fy_red != 0
+    on_x = ~on_y & (fx_red != 0)
+    return [(1, on_y, tables[2][fy_red[on_y]]), (0, on_x, tables[2][fx_red[on_x]])]
+
+
 def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables):
     """Every lift to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
 
-    The smooth points (a partial of f a unit mod p) are tiled over the p
-    digits of their free coordinate, digit-major: x where f_y is a unit
-    mod p, else y.  One Newton step of `_lift_to` then gives each tile its
-    digit of the solved coordinate.  Where both partials vanish mod p, all
-    p^2 digit pairs are tested (`_extend_pairs`).  Columns come as the
-    smooth-y lifts, the smooth-x lifts, then the singular ones; empty input
-    gives a (2, 0) array of its dtype.
+    Each group of `_solved_groups` is tiled over the p digits of its free
+    coordinate, digit-major, and one Newton step at r = 1 (`_newton_step`)
+    gives each tile its digit of the solved coordinate.  Where both
+    partials vanish mod p, the first-order term of `_extend_pairs` is 0 for
+    every digit pair, so a singular point has all p^2 lifts or none.
+    Columns come as the smooth-y lifts, the smooth-x lifts, then the
+    singular ones; empty input gives a (2, 0) array of its dtype.
     """
-    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
-    smooth = (fx_red != 0) | (fy_red != 0)
-    n = int(np.count_nonzero(smooth))
-    step = p**k * np.repeat(np.arange(p, dtype=xs.dtype), n)
-    free_x = np.tile(fy_red[smooth] != 0, p)
-    cx, cy = np.tile(xs[smooth], p), np.tile(ys[smooth], p)
-    cx, cy = np.where(free_x, cx + step, cx), np.where(free_x, cy, cy + step)
-    lifted = np.stack(_lift_to(f, cx, cy, p, k, k + 1, tables))
-    if n == len(xs):
-        return lifted
-    pairs = _extend_pairs((f,), xs[~smooth], ys[~smooth], p, k)
-    return np.concatenate([lifted, np.stack(pairs)], axis=1)
+    groups = _solved_groups(tables, xs, ys, p)
+    digits = p**k * np.arange(p, dtype=xs.dtype)
+    columns = []
+    for solved, on, w in groups:
+        if len(w):
+            tiles = np.tile(np.stack([xs[on], ys[on]]), p)
+            tiles[1 - solved] += np.repeat(digits, len(w))
+            columns.append(_newton_step(f, tiles, np.tile(w, p), solved, p, k, k + 1))
+    singular = ~(groups[0][1] | groups[1][1])
+    if singular.any():
+        columns.append(_extend_pairs((f,), xs[singular], ys[singular], p, k))
+    if len(columns) == 1:  # one kind of point: no copy of the level
+        return columns[0]
+    return np.concatenate([np.zeros((2, 0), dtype=xs.dtype)] + columns, axis=1)
+
+
+def _newton_step(f: BiPoly, pts: np.ndarray, w, solved: int, p: int, k: int, m: int):
+    """Points of Y_k, the columns of pts, lifted in place to Y_m along row `solved`.
+
+    Row 1 (y) or row 0 (x) is solved for at every point.  With
+    r = m - k <= k, f(P + p^k t) = f(P) + p^k t f_s(P) mod p^m along that
+    coordinate, so one Newton step t = -(f(P)/p^k) w mod p^r is exact,
+    w = 1/f_s(P) mod p^r.  The given w is 1/f_s mod p, exact at r = 1; for
+    r >= 2 it doubles its precision by w(2 - f_s w).  Only + * % // act on
+    the arrays, so any integer dtype serves.  Returns pts.
+    """
+    r = m - k
+    q, qr = p**k, p**r
+    if r > 1:
+        d = f.partial("xy"[solved]).horner(pts[0], pts[1], qr)
+        precision = 1
+        while precision < r:
+            w = w * ((2 - d * w) % qr) % qr
+            precision *= 2
+    pts[solved] += q * (-(f.horner(pts[0], pts[1], p**m) // q) * w % qr)
+    return pts
 
 
 def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, tables):
@@ -220,32 +299,20 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
 
     The coordinate solved for is y where f_y is a unit mod p, else x; the
     free one stays as given, so a point reduced mod p^k gets free digits 0
-    up to p^m.  With r = m - k <= k, f(P + p^k t) = f(P) + p^k t f_s(P)
-    mod p^m along the solved coordinate, so one Newton step
-    t = -(f(P)/p^k) w mod p^r is exact, w = 1/f_s(P) mod p^r: the inverse
-    table gives w mod p, exact at r = 1, and for r >= 2 w doubles its
-    precision by w(2 - f_s w).  `_lift_step` is this step at r = 1 on
-    points whose free coordinate runs over every digit.  The columns come
-    as the y-solved points, then the x-solved ones, each in input order
-    (at m = k, no step: the input as given).  Only + * % //, np.where and
-    a stable argsort act on the arrays, so any integer dtype serves.
+    up to p^m.  Each group of `_solved_groups` takes one `_newton_step`
+    (r = m - k <= k); singular points belong to neither and are left out.
+    Returns a (2, n) array whose columns are the y-solved points, then the
+    x-solved ones, each in input order (at m = k, no step: the input as
+    given).
     """
-    r = m - k
-    if r == 0:
-        return xs, ys
-    q, qr = p**k, p**r
-    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
-    order = np.argsort(fy_red == 0, kind="stable")
-    xs, ys, solve_y = xs[order], ys[order], fy_red[order] != 0
-    w = tables[2][np.where(solve_y, fy_red[order], fx_red[order])]
-    if r > 1:
-        d = np.where(solve_y, f.partial("y").horner(xs, ys, qr), f.partial("x").horner(xs, ys, qr))
-        precision = 1
-        while precision < r:
-            w = w * ((2 - d * w) % qr) % qr
-            precision *= 2
-    step = q * (-(f.horner(xs, ys, p**m) // q) * w % qr)
-    return np.where(solve_y, xs, xs + step), np.where(solve_y, ys + step, ys)
+    if m == k:
+        return np.stack([xs, ys])
+    lifted = [
+        _newton_step(f, np.stack([xs[on], ys[on]]), w, solved, p, k, m)
+        for solved, on, w in _solved_groups(tables, xs, ys, p)
+        if len(w)
+    ]
+    return np.concatenate([np.zeros((2, 0), dtype=xs.dtype)] + lifted, axis=1)
 
 
 def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]:

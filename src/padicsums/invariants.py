@@ -313,10 +313,22 @@ class ExponentCertificate:
 def _capped_valuations(vals: np.ndarray, p: int, k: int) -> np.ndarray:
     """min(v(a), k) for each residue a mod p^k in the array; 0 gives k.
 
-    gcd(a, p^k) is p^min(v(a), k), so its index among p^0..p^k is the answer.
+    v(a) >= s exactly when p^s divides a, so on an integer array the answer
+    counts the s in 1..k with a // p^s * p^s == a: k passes of a division
+    by a scalar, which numpy runs faster than `%` or the per-element
+    Euclid loop of np.gcd.  Object arrays (the search's deep levels, a few
+    classes each) take gcd(a, p^k) = p^min(v(a), k) instead, one gcd per
+    Python int rather than k passes of Python-int arithmetic, and its
+    index among p^0..p^k.
     """
-    powers = np.array([p**s for s in range(k + 1)], dtype=vals.dtype)
-    return np.searchsorted(powers, np.gcd(vals, p**k))
+    if vals.dtype == object:
+        powers = np.array([p**s for s in range(k + 1)], dtype=object)
+        return np.searchsorted(powers, np.gcd(vals, p**k))
+    capped = np.zeros(vals.shape, dtype=np.int64)
+    for s in range(1, k + 1):
+        d = p**s
+        capped += vals // d * d == vals
+    return capped
 
 
 def _refuted(jac: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int) -> np.ndarray:
@@ -394,14 +406,17 @@ def contact_exponent(
     when a dominant Jacobian monomial pins v(J) finite on the whole class,
     and at full depth small exact solutions are recognized directly.  Classes
     still open at `depth` (which must be >= 1) get up to `depth` more levels,
-    since they may die out deeper.  `budget` caps the digit-pair tests of
-    each level above the first and must be >= 1.  Points of the curve away
-    from the critical locus contribute order 1.
+    since they may die out deeper.  `budget` caps the digit pairs of each
+    level above the first, n * p^2 for n open classes, and must be >= 1.
+    Points of the curve away from the critical locus contribute order 1.
 
     A level is resolved in array passes: a classes x monomials valuation
     matrix refutes; the Newton hypothesis v(det) <= (k-1)/2 is exactly
     det != 0 mod p^((k+1)//2), det = f_x J_y - f_y J_x; exact hits are
-    sieved in int64.  Witnesses are measured in frontier order.
+    sieved in int64.  Witnesses are measured in frontier order.  The open
+    classes then extend by `counting._extend_pairs`, which decides the p^2
+    digit pairs of a class from f and J at three points of it, since both
+    are affine in the pair mod p^(k+1).
     """
     _check_level(p, depth, "search depth")
     if budget < 1:

@@ -5,7 +5,8 @@ stabilization checks; `read_points` parses the text that `padicsums points`
 writes, so tests can round-trip it.  `x_series` and `y_series` give a
 branch's coordinates as series in t, the reference that
 `Parametrization.compose_poly` is tested against, and `branch_point` gives
-one point of a branch in Python ints.
+one point of a branch in Python ints.  `extend_pairs` is the digit-pair
+step that tests every candidate, the reference for `counting._extend_pairs`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from padicsums.counting import PointSet, lift_levels
+from padicsums.counting import _PAIR_BLOCK, PointSet, lift_levels
 from padicsums.polynomials import BiPoly
 from padicsums.series import Parametrization, TruncSeries
 
@@ -109,3 +110,26 @@ def branch_point(param: Parametrization, t0: int, q: int) -> tuple[int, int]:
     h = sum(c * t0**k for k, c in enumerate(param.series.coeffs))
     dx, dy = (t0, h) if param.solve_for == "y" else (h, t0)
     return (param.anchor.x + dx) % q, (param.anchor.y + dy) % q
+
+
+def extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
+    """`counting._extend_pairs` by testing every candidate.
+
+    All p^2 digit pairs of every class are tiled, a block of `_PAIR_BLOCK`
+    candidates at a time, and each is evaluated mod p^(k+1); the lifts come
+    ordered by class, then a, then b.
+    """
+    q, q1 = p**k, p ** (k + 1)
+    found_x, found_y = [xs[:0]], [ys[:0]]
+    total = len(xs) * p * p
+    for start in range(0, total, _PAIR_BLOCK):
+        t = np.arange(start, min(start + _PAIR_BLOCK, total))
+        cls = t // (p * p)
+        cx = xs[cls] + q * (t // p % p).astype(xs.dtype)
+        cy = ys[cls] + q * (t % p).astype(xs.dtype)
+        for g in polys:
+            hit = g.horner(cx, cy, q1) == 0
+            cx, cy = cx[hit], cy[hit]
+        found_x.append(cx)
+        found_y.append(cy)
+    return np.concatenate(found_x), np.concatenate(found_y)

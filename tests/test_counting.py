@@ -1,12 +1,14 @@
 """Point enumeration: brute grid scan vs digit-lifting, growth, the points text."""
 
 import io
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from padicsums import cli, counting
 from padicsums.counting import (
@@ -26,8 +28,8 @@ from padicsums.counting import (
     _residue_partials,
 )
 from padicsums.invariants import _extend_classes
-from padicsums.polynomials import parse_poly
-from references import count_report, read_points
+from padicsums.polynomials import BiPoly, parse_poly
+from references import count_report, extend_pairs, read_points
 
 
 def pairs(ps):
@@ -361,6 +363,79 @@ def test_digit_pair_step_keeps_class_order_across_blocks():
     ]
     assert len(classes) * p * p > 4 * _PAIR_BLOCK
     assert list(zip(cx.tolist(), cy.tolist())) == want
+
+
+@st.composite
+def pair_step_inputs(draw):
+    """One or two polynomials through an exact point, and classes mod p^k near it.
+
+    Each polynomial is h - h(x0, y0) for a random h, so the class of
+    (x0, y0) lifts; the other classes are (x0 + p^i u, y0 + p^j w), and
+    those where some polynomial is nonzero mod p^k must die.  Deep cases
+    take object arrays with p^(k+1) > 2^31; the others int64 or object,
+    their classes sometimes tiled over several `_PAIR_BLOCK` blocks.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    deep = draw(st.booleans())
+    if deep:
+        k = next(j for j in itertools.count(1) if p ** (j + 1) > 2**31) + draw(st.integers(0, 2))
+    else:
+        k = draw(st.integers(1, 4))
+    q = p**k
+    x0, y0 = draw(st.integers(-(10**6), 10**6)), draw(st.integers(-(10**6), 10**6))
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(-9, 9).filter(bool),
+        min_size=1,
+        max_size=5,
+    )
+    polys = []
+    for _ in range(draw(st.integers(1, 2))):
+        h = BiPoly(draw(terms))
+        polys.append(h - BiPoly.constant(h.evaluate(x0, y0)))
+    near = (st.integers(0, k), st.integers(-50, 50))  # (i, u) or (j, w)
+    classes = [(0, 0, 0, 0)] + draw(st.lists(st.tuples(*near, *near), max_size=12))
+    xs = [(x0 + p**i * u) % q for i, u, _, _ in classes]
+    ys = [(y0 + p**j * w) % q for _, _, j, w in classes]
+    dtype = object if deep or draw(st.booleans()) else np.int64
+    tiles = 1
+    if dtype is np.int64 and draw(st.booleans()):
+        tiles = 3 * _PAIR_BLOCK // (p * p * len(xs)) + 1
+    xs, ys = (np.tile(np.array(c, dtype=dtype), tiles) for c in (xs, ys))
+    return tuple(polys), xs, ys, p, k
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(pair_step_inputs())
+def test_digit_pair_step_matches_the_candidate_scan(case):
+    # the Hensel-linear step against the reference that evaluates every pair
+    polys, xs, ys, p, k = case
+    got, want = _extend_pairs(polys, xs, ys, p, k), extend_pairs(polys, xs, ys, p, k)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert g.tolist() == w.tolist()
+    assert len(want[0])  # the class of the exact point lifts
+
+
+@pytest.mark.parametrize("p, m", [(2, 8), (5, 4)])
+def test_a_singular_point_has_all_or_none_of_its_lifts(p, m):
+    # both partials of y^2 - x^3 vanish mod p at (0, 0), so the first-order
+    # term of the digit-pair step is 0 on every pair there
+    f = parse_poly("y^2 - x^3")
+    tables = _lift_tables(f, p)
+    for k in range(1, m):
+        level, above = brute_points(f, p, k), brute_points(f, p, k + 1)
+        fx_red, fy_red = _residue_partials(tables, level.xs, level.ys, p)
+        singular = (fx_red == 0) & (fy_red == 0)
+        assert singular.any()
+        lifts = {}
+        for x, y in pairs(above):
+            lifts.setdefault((x % p**k, y % p**k), []).append((x, y))
+        for x, y in zip(level.xs[singular].tolist(), level.ys[singular].tolist()):
+            assert len(lifts.get((x, y), [])) in (0, p * p), (k, x, y)
+        cx, cy = _extend_pairs((f,), level.xs[singular], level.ys[singular], p, k)
+        want = sorted(pt for pt in pairs(above) if pt[0] % p == 0 and pt[1] % p == 0)
+        assert sorted(zip(cx.tolist(), cy.tolist())) == want
 
 
 def test_system_tree_budget():

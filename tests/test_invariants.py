@@ -27,10 +27,11 @@ from padicsums.invariants import (
     point_depth,
 )
 from padicsums import cli, invariants
-from padicsums.invariants import _HIT_SIEVE, _exact_hits, _refuted
+from padicsums.invariants import _HIT_SIEVE, _capped_valuations, _exact_hits, _refuted
 from padicsums.padic import _int_valuation, valuation
 from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
 from padicsums.series import certify_point
+from references import extend_pairs
 
 
 def slope_of_valuations(values: dict) -> float:
@@ -299,6 +300,41 @@ def test_exponent_search_past_the_int64_modulus():
     assert cert.witnesses[0].level == 6
 
 
+def certificate_or_error(f, g, p):
+    try:
+        return contact_exponent(parse_poly(f), parse_poly(g), p)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "f, g, p",
+    [
+        # the five critical-locus searches of the benchmark
+        ("y^2 - x^3", "y", 5),
+        ("x^3 + y^3 - 1", "x", 7),
+        ("y - x^4", "y", 7),
+        ("y^2 - 2*x^2*y + x^4", "x", 5),
+        ("y - x^2 + 6*x - 9", "x + y - 3", 5),
+        # the three decay families at p = 5 and 7
+        ("y - x^2", "y", 5),
+        ("y - x^3", "y", 5),
+        ("y - x^2", "x + y", 5),
+        ("y - x^2", "y", 7),
+        ("y - x^3", "y", 7),
+        ("y - x^2", "x + y", 7),
+        # degenerate critical points at +-sqrt(2), irrational in Q
+        ("y - (x^2 - 2)^3", "y", 7),
+    ],
+)
+def test_exponent_search_is_unchanged_by_the_digit_pair_step(monkeypatch, f, g, p):
+    # exponent, confidence, witnesses and notes, or the same error, when
+    # each level is extended by testing every candidate pair
+    got = certificate_or_error(f, g, p)
+    monkeypatch.setattr(invariants, "_extend_pairs", extend_pairs)
+    assert got == certificate_or_error(f, g, p)
+
+
 def test_exponent_invariant_under_unimodular_shear():
     # (x, y) -> (x + y, y) is a bijection of Z_p^2, so the exponent of the
     # transformed pair must match
@@ -446,6 +482,23 @@ def test_array_refutation_matches_the_scalar_reference(case, dtype):
     ys = np.array([y for _, y in classes], dtype=dtype)
     want = [scalar_refutes(jac, x, y, p, k) for x, y in classes]
     assert _refuted(jac, xs, ys, p, k).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7]),
+    st.integers(min_value=1, max_value=14),
+    st.lists(st.tuples(st.integers(0, 14), st.integers(1, 10**4)), min_size=1, max_size=8),
+    st.sampled_from([np.int64, object]),
+)
+def test_capped_valuations_match_the_scalar_valuation(p, k, reps, dtype):
+    # residues p^a * u mod p^k, where a >= k (or p | u) reach the cap
+    if dtype is np.int64 and p**k > 2**31:
+        dtype = object
+    vals = [p**a * u % p**k for a, u in reps]
+    want = [k if v == 0 else min(_int_valuation(v, p), k) for v in vals]
+    grid = np.array([vals, vals[::-1]], dtype=dtype)
+    assert _capped_valuations(grid, p, k).tolist() == [want, want[::-1]]
 
 
 def test_refutation_bounds_a_zero_representative_by_the_level():
