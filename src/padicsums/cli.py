@@ -26,7 +26,8 @@ configurations produce byte-identical files.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
 2 usage, parse, or budget errors; 3 weight constant on the curve;
-4 inconclusive (precision exhausted, or f may have a repeated factor).
+4 inconclusive (precision exhausted, or f may have a repeated factor);
+5 internal error (any other exception, such as running out of memory).
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_WEIGHT_CONSTANT = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_INTERNAL = 5
 
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
@@ -458,6 +460,10 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # never 1, which would read as a failed verification
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

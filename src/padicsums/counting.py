@@ -1,11 +1,14 @@
 """Point enumeration for plane curves over Z/p^m.
 
-Two independent routes to the same set: `brute_points` scans the full
-(Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using the
-one-step Hensel formula at residues where a partial derivative is a unit
-and digit pairs elsewhere.  The brute route exists as an oracle for the
-lifting route: the two share the evaluator (`BiPoly.horner`), not the
-enumeration.  Smooth points have one Newton division, `_newton_step`,
+Two independent routes to the same set: `brute_points` decides every cell
+of the (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using
+the one-step Hensel formula at residues where a partial derivative is a
+unit and digit pairs elsewhere.  The brute route exists as an oracle for
+the lifting route: the two share the evaluator (`BiPoly.horner`), not the
+enumeration.  Since f(x, y) = f(x mod p, y mod p) mod p for integer
+coefficients, the grid scan evaluates f mod p^m only on the cells above a
+point of Y_1, about a 1/p share of the grid; every other cell is a proven
+non-zero.  Smooth points have one Newton division, `_newton_step`,
 which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step;
 `_lift_to` applies it to the points grouped by solved coordinate.  One
 level of the lifting route is `_lift_step`: that step at m = k + 1 on the
@@ -26,7 +29,8 @@ point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
 Point sets and lifting stay in int64; guards cap the modulus so that every
 intermediate product provably fits.  The brute grid is evaluated in int32
 when q^2 < 2^31, which holds under the default budget of 10^8 cells, in
-blocks of about 2^17 cells, so each block's arrays stay cache-sized.
+blocks of about 2^17 cells (many residues' sub-grids per block, or runs of
+one sub-grid's rows), so each block's arrays stay cache-sized.
 
 The module returns point sets and writes nothing; the command line front
 end, `padicsums.cli`, owns the text format of `points`.
@@ -178,16 +182,49 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     return np.concatenate(found, axis=1)
 
 
-def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
-    """Full-grid oracle: test every pair in (Z/p^m)^2.
+def _grid_zeros(f: BiPoly, x0s: np.ndarray, y0s: np.ndarray, step: int, n: int, modulus: int):
+    """Zeros mod `modulus` of f on the sub-grids (x0 + step i, y0 + step j), i, j < n.
 
-    Every cell is evaluated exactly mod q = p^m by `BiPoly.horner`, a block
-    of x rows (about `_GRID_BLOCK` cells) at a time: x enters as a column
-    and y as a row, so the x-Horner steps run once per row and only the y
-    steps span the grid.  The grid is int32 when q^2 < 2^31 (no Horner
-    value exceeds q^2 - q), else int64; under the default budget it is
-    always int32, which halves the cost of each grid multiply-add.  The flat index of a hit in
-    a block starting at row x0, plus x0*q, is its key x*q + y.
+    There is one n x n sub-grid per residue (x0, y0) of x0s, y0s.  x enters
+    as a column and y as a row, of shapes (r, rows, 1) and (r, 1, n) over r
+    residues, so the x-Horner steps run once per row and only the y steps
+    span the cells.  One `BiPoly.horner` call spans about `_GRID_BLOCK`
+    cells: as many whole sub-grids as fit, or runs of one sub-grid's rows
+    when it is larger.  Returns the x and y arrays of the zeros, in the
+    dtype of x0s, which must hold (modulus - 1)^2 + modulus - 1.
+    """
+    rows = min(n, max(1, _GRID_BLOCK // n))
+    span = max(1, _GRID_BLOCK // (rows * n))
+    js = step * np.arange(n, dtype=x0s.dtype)
+    found_x, found_y = [x0s[:0]], [y0s[:0]]
+    for start in range(0, len(x0s), span):
+        bx = x0s[start : start + span, None, None]
+        by = y0s[start : start + span, None, None]
+        for i0 in range(0, n, rows):
+            di = step * np.arange(i0, min(i0 + rows, n), dtype=x0s.dtype)[:, None]
+            # f mod modulus free of y (or x) gives one column (or row): widen the mask
+            value = f.horner(bx + di, by + js, modulus)
+            hit = np.flatnonzero(np.broadcast_to(value == 0, (len(bx), len(di), n)))
+            res, cell = np.divmod(hit, len(di) * n)  # np.nonzero of a 3-d mask costs ~7x
+            i, j = np.divmod(cell, n)
+            found_x.append(bx[res, 0, 0] + di[i, 0])
+            found_y.append(by[res, 0, 0] + js[j])
+    return np.concatenate(found_x), np.concatenate(found_y)
+
+
+def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
+    """Grid oracle: decide every pair in (Z/p^m)^2, in two exact scans.
+
+    f has integer coefficients, so f(x, y) = f(x mod p, y mod p) mod p: a
+    cell can vanish mod q = p^m only above a point of Y_1.  The first scan
+    evaluates f mod p on the p^2 residues, which gives Y_1 (the answer at
+    m = 1).  The second evaluates f mod q on the q^2/p^2 cells above each
+    point of Y_1, and on no other cell: every cell it skips is a proven
+    non-zero, so the scan still decides all q^2 cells, and the budget caps
+    that grid.  Both scans run through `_grid_zeros` on `BiPoly.horner`,
+    in int32 when q^2 < 2^31 (no Horner value exceeds q^2 - q), else int64;
+    under the default budget it is always int32, which halves the cost of
+    each grid multiply-add.
     """
     _check_level(p, m)
     q = p**m
@@ -196,17 +233,11 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
     _check_vector_safe(q)
-    dtype = np.int32 if q * q < 2**31 else np.int64
-    ys = np.arange(q, dtype=dtype)[None, :]
-    chunk = max(1, _GRID_BLOCK // q)
-    keys = []
-    for x0 in range(0, q, chunk):
-        xs = np.arange(x0, min(x0 + chunk, q), dtype=dtype)[:, None]
-        # f mod q free of y (or x) gives one column (or row): widen the mask
-        hit = np.broadcast_to(f.horner(xs, ys, q) == 0, (len(xs), q))
-        keys.append(np.flatnonzero(hit) + x0 * q)
-    keys = np.concatenate(keys)
-    return PointSet(p, m, keys // q, keys % q)
+    origin = np.zeros(1, dtype=np.int32 if q * q < 2**31 else np.int64)
+    xs, ys = _grid_zeros(f, origin, origin, 1, p, p)
+    if m > 1:
+        xs, ys = _grid_zeros(f, xs, ys, p, q // p, q)
+    return PointSet(p, m, xs, ys)
 
 
 def _lift_tables(f: BiPoly, p: int):

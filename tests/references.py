@@ -6,7 +6,9 @@ writes, so tests can round-trip it.  `x_series` and `y_series` give a
 branch's coordinates as series in t, the reference that
 `Parametrization.compose_poly` is tested against, and `branch_point` gives
 one point of a branch in Python ints.  `extend_pairs` is the digit-pair
-step that tests every candidate, the reference for `counting._extend_pairs`.
+step that tests every candidate, the reference for `counting._extend_pairs`,
+and `full_grid_points` the scan that evaluates every cell of (Z/p^m)^2, the
+reference for `counting.brute_points`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import IO
 
 import numpy as np
 
-from padicsums.counting import _PAIR_BLOCK, PointSet, lift_levels
+from padicsums.counting import _GRID_BLOCK, _PAIR_BLOCK, PointSet, lift_levels
 from padicsums.polynomials import BiPoly
 from padicsums.series import Parametrization, TruncSeries
 
@@ -133,3 +135,25 @@ def extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
         found_x.append(cx)
         found_y.append(cy)
     return np.concatenate(found_x), np.concatenate(found_y)
+
+
+def full_grid_points(f: BiPoly, p: int, m: int) -> PointSet:
+    """`counting.brute_points` by evaluating every cell of (Z/p^m)^2.
+
+    A block of x rows (about `_GRID_BLOCK` cells) goes to `BiPoly.horner`
+    at a time, x as a column and y as a row; the grid is int32 when
+    q^2 < 2^31, q = p^m.  The flat index of a hit in a block starting at
+    row x0, plus x0*q, is its key x*q + y.
+    """
+    q = p**m
+    dtype = np.int32 if q * q < 2**31 else np.int64
+    ys = np.arange(q, dtype=dtype)[None, :]
+    chunk = max(1, _GRID_BLOCK // q)
+    keys = []
+    for x0 in range(0, q, chunk):
+        xs = np.arange(x0, min(x0 + chunk, q), dtype=dtype)[:, None]
+        # f mod q free of y (or x) gives one column (or row): widen the mask
+        hit = np.broadcast_to(f.horner(xs, ys, q) == 0, (len(xs), q))
+        keys.append(np.flatnonzero(hit) + x0 * q)
+    keys = np.concatenate(keys)
+    return PointSet(p, m, keys // q, keys % q)

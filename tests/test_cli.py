@@ -51,6 +51,27 @@ def test_verify_pass_and_fail_codes(capsys):
     assert json.loads(out)["report"]["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 8.00 GiB"), "MemoryError: Unable to allocate 8.00 GiB"),
+        (ZeroDivisionError("division by zero"), "ZeroDivisionError: division by zero"),
+    ],
+    ids=["memory", "other"],
+)
+def test_an_unexpected_exception_exits_five_not_one(capsys, monkeypatch, exc, message):
+    # 1 is verify's counterexample code, so a crash must not exit with it
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "decay_records", fail)
+    code, out, err = run(
+        capsys, "verify", "--p", "5", "--m", "3..5", "--f", "y - x^2", "--g", "y"
+    )
+    assert (code, out, err) == (cli.EXIT_INTERNAL, "", f"error: internal: {message}\n")
+    assert cli.EXIT_INTERNAL == 5
+
+
 @pytest.mark.parametrize("tolerance", ["inf", "nan"])
 def test_verify_rejects_a_tolerance_that_is_not_finite(capsys, monkeypatch, tolerance):
     # inf passed every fit, and nan failed every fit and wrote NaN into the JSON;

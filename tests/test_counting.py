@@ -1,10 +1,12 @@
 """Point enumeration: brute grid scan vs digit-lifting, growth, the points text."""
 
+import contextlib
 import io
 import itertools
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from padicsums.counting import (
 )
 from padicsums.invariants import _extend_classes
 from padicsums.polynomials import BiPoly, parse_poly
-from references import count_report, extend_pairs, read_points
+from references import count_report, extend_pairs, full_grid_points, read_points
 
 
 def pairs(ps):
@@ -136,13 +138,98 @@ def test_lift_matches_brute_and_grid(text, p):
         assert pairs(lifted) == grid_oracle(f, p, m), (text, p, m)
 
 
+@contextlib.contextmanager
+def horner_calls():
+    """Record (x shape, y shape, dtype, modulus) of each `BiPoly.horner` call."""
+    calls = []
+    horner = BiPoly.horner
+
+    def spy(self, x, y, modulus=None):
+        calls.append((np.shape(x), np.shape(y), np.result_type(x, y), modulus))
+        return horner(self, x, y, modulus)
+
+    with mock.patch.object(BiPoly, "horner", spy):
+        yield calls
+
+
+def cells(call):
+    """The number of cells one recorded `BiPoly.horner` call evaluates."""
+    return math.prod(np.broadcast_shapes(call[0], call[1]))
+
+
 def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
-    # q = 729: an int32 grid in blocks of 179 rows, the last one 13 rows
+    # q = 729: Y_1 holds 3 residues, each under a 243 x 243 sub-grid mod q;
+    # two sub-grids fit in a block, so the last block holds one
     f = parse_poly("y^2 - x^3 - x")
-    assert (_GRID_BLOCK // 729, 729 % (_GRID_BLOCK // 729)) == (179, 13)
-    found = pairs(brute_points(f, 3, 6))
+    assert _GRID_BLOCK // 243**2 == 2
+    with horner_calls() as calls:
+        found = pairs(brute_points(f, 3, 6))
+    assert [c[:2] for c in calls] == [
+        ((1, 3, 1), (1, 1, 3)),  # the p^2 residues: x a column, y a row
+        ((2, 243, 1), (2, 1, 243)),
+        ((1, 243, 1), (1, 1, 243)),
+    ]
+    assert [c[2:] for c in calls] == [(np.int32, 3), (np.int32, 729), (np.int32, 729)]
     assert len(found) == 729
     assert found == grid_oracle(f, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "text, p, m, kept",
+    [
+        ("3*x*y + 3", 3, 3, 9),  # f = 0 mod p: every residue is kept
+        ("x^2 - 2", 5, 3, 0),  # 2 is no square mod 5: Y_1 is empty
+        ("y^2 - x^3 - x", 2, 10, 2),  # (q/p)^2 = 2^18 cells: runs of 256 rows
+    ],
+)
+def test_brute_points_evaluates_only_the_cells_above_y1(text, p, m, kept):
+    f = parse_poly(text)
+    q, n = p**m, p ** (m - 1)
+    with horner_calls() as calls:
+        got = brute_points(f, p, m)
+    assert len(full_grid_points(f, p, 1)) == kept
+    assert got.same_points(full_grid_points(f, p, m))
+    if q <= 125:
+        assert pairs(got) == grid_oracle(f, p, m)
+    sizes = [cells(c) for c in calls]
+    assert sizes[0] == p * p and sum(sizes) == p * p + kept * n * n
+    assert max(sizes) <= _GRID_BLOCK
+
+
+@st.composite
+def brute_inputs(draw):
+    """A random f (sometimes 0 mod p), a level with q <= 64, and a block size."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(1, max(j for j in range(1, 7) if p**j <= 64)))
+    scale = draw(st.sampled_from([1, 1, p]))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)),
+            st.integers(-30, 30).filter(bool),
+            max_size=5,
+        )
+    )
+    f = BiPoly({e: scale * c for e, c in terms.items()})
+    block = draw(st.sampled_from([_GRID_BLOCK, 1]) | st.integers(2, 300))
+    return f, p, m, block
+
+
+@settings(max_examples=150, deadline=None)
+@given(brute_inputs())
+def test_brute_points_matches_the_full_grid_scan(case):
+    # small blocks split the residues into batches and sub-grids into row runs
+    f, p, m, block = case
+    n = p ** (m - 1)
+    with mock.patch.object(counting, "_GRID_BLOCK", block), horner_calls() as calls:
+        got = brute_points(f, p, m)
+    assert pairs(got) == pairs(full_grid_points(f, p, m)) == grid_oracle(f, p, m)
+    kept = len(full_grid_points(f, p, 1))
+    sizes = [cells(c) for c in calls]
+    # at m = 1 the residue scan is the answer
+    assert sum(sizes) == p * p + (kept * n * n if m > 1 else 0)
+    for c, size in zip(calls, sizes):
+        assert size <= max(block, c[1][-1])  # a block, or one row when a row is longer
+        assert c[0][-1] == 1 and c[1][-2] == 1  # x a column, y a row
 
 
 @pytest.mark.parametrize("text, p", [("x^2 - 2", 5), ("x - y^2", 3)])
