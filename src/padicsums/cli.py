@@ -25,8 +25,9 @@ of sum records are rounded to 15 significant digits, so identical
 configurations produce byte-identical files.
 
 Exit codes: 0 success / verification passed; 1 verification failed;
-2 usage, parse, or budget errors; 3 weight constant on the curve;
-4 inconclusive (precision exhausted, or f may have a repeated factor);
+2 usage, parse, or budget errors; 3 weight constant on the curve or on a
+component of it; 4 inconclusive (precision exhausted, or f has, or may have,
+a repeated factor);
 5 internal error (any other exception, such as running out of memory).
 """
 
@@ -403,11 +404,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Fold --config file values in as defaults; explicit flags still win."""
+@functools.cache
+def _config_probe() -> argparse.ArgumentParser:
+    """The parser that finds --config anywhere in argv; one object per process."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
-    known, _ = probe.parse_known_args(argv)
+    return probe
+
+
+def _apply_config(argv: list[str]) -> list[str]:
+    """Fold --config file values in as defaults; explicit flags still win."""
+    known, _ = _config_probe().parse_known_args(argv)
     if not known.config:
         return argv
     # Insert the config words right after the subcommand so that any

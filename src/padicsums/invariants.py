@@ -11,7 +11,9 @@ J = f_x g_y - f_y g_x vanishes).  This module computes:
                        a blow-up chart when the point has positive depth;
                        the chart is built once and only the precision
                        escalates
-  * contact_exponent -- the maximum contact order over Z_p critical points,
+  * contact_exponent -- the maximum contact order over Z_p critical points;
+                       a component shared by f and the Jacobian is decided
+                       exactly by a gcd first, the critical points are then
                        found by a depth-limited lifting search whose classes
                        are certified (an exact or Hensel-unique critical
                        point lifts) or refuted (a dominant monomial pins the
@@ -35,10 +37,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import BRUTE_BUDGET, BudgetError, _extend_pairs, _int_dtype, lift_points
+from .counting import (
+    BRUTE_BUDGET,
+    BudgetError,
+    _extend_pairs,
+    _int_dtype,
+    _lift_tables,
+    _residue_partials,
+    lift_points,
+)
 from .expsums import SumRecord
 from .padic import INFINITY, _check_level, _int_valuation
-from .polynomials import BiPoly
+from .polynomials import BiPoly, _gcd
 from .series import (
     CurvePoint,
     HenselPreconditionError,
@@ -390,6 +400,25 @@ def _extend_classes(
     return _extend_pairs(polys, np.asarray(xs, dtype), np.asarray(ys, dtype), p, k)
 
 
+def _smooth_residue(h: BiPoly, p: int) -> tuple[int, int] | None:
+    """A zero of h mod p at which a partial of h is a unit, or None.
+
+    By Hensel such a residue lifts to a point of h = 0 over Z_p.  The zeros
+    come from the level-1 scan of the search and the partials from the lift
+    tables, each under the brute scan's cap on the p^2 residues.
+    """
+    origin = np.zeros(1, dtype=np.int64)
+    xs, ys = _extend_classes((h,), origin, origin, p, 0, BRUTE_BUDGET)
+    hx, hy = _residue_partials(_lift_tables(h, p), xs, ys, p)
+    smooth = np.flatnonzero((hx != 0) | (hy != 0))
+    return (int(xs[smooth[0]]), int(ys[smooth[0]])) if len(smooth) else None
+
+
+def _y_major(h: BiPoly) -> str:
+    """h with its y-leading term, the one `_gcd` makes positive, first."""
+    return h._text(lambda k: (k[1], k[0]))
+
+
 def contact_exponent(
     f: BiPoly,
     g: BiPoly,
@@ -399,6 +428,18 @@ def contact_exponent(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ExponentCertificate:
     """Largest contact order of g at a Z_p critical point of the curve.
+
+    A component that f and the Jacobian J = f_x g_y - f_y g_x share is
+    decided exactly, by gcds over Z[x, y], before any search.  When
+    r = gcd(f, f_x, f_y) is not constant, f has the repeated factor r (Q_p
+    has characteristic 0).  If r has a smooth residue (a zero mod p at
+    which a partial of r is a unit, so a point over Z_p by Hensel), the
+    curve is not reduced there and ContactInconclusiveError names r.  When
+    f is squarefree and h = gcd(f, J) is not constant with a smooth
+    residue, J vanishes on h = 0, so g is constant along each branch of
+    that component: WeightConstantError names h.  A shared factor with no
+    smooth residue, such as r = s^2 when f = s^3, leaves the input to the
+    search.
 
     Candidates are the classes mod p^depth where both f and the Jacobian
     J = f_x g_y - f_y g_x vanish.  During the search a class is certified as
@@ -429,6 +470,27 @@ def contact_exponent(
             "the Jacobian of (f, g) vanishes identically: "
             "the weight is constant along every branch of the curve"
         )
+
+    # shared components first, exactly (see above); the search is the fallback
+    repeated = _gcd(f, f.partial("x"), f.partial("y"))
+    if not repeated.is_constant:
+        at = _smooth_residue(repeated, p)
+        if at:
+            name = _y_major(repeated)
+            raise ContactInconclusiveError(
+                f"f has the repeated factor {name}, which has a point over Z_p: "
+                "the curve is not reduced there",
+                [f"gcd(f, f_x, f_y) = {name}", f"{name} = 0 is smooth at {at} mod {p}"],
+            )
+    else:
+        shared = _gcd(f, jac)
+        at = None if shared.is_constant else _smooth_residue(shared, p)
+        if at:
+            raise WeightConstantError(
+                f"f and the Jacobian share the factor {_y_major(shared)}, which is smooth "
+                f"at {at} mod {p} and so has a point over Z_p: the weight is constant "
+                "along that component of the curve"
+            )
 
     # Level 1 extends the one class mod p^0 under the brute scan's cap on
     # its p^2 digit pairs; the budget caps deeper levels.

@@ -24,10 +24,16 @@ Integer arrays are reduced by floor division rather than `%`, and the brute
 grid runs in int32 blocks of about 2^17 cells: the same call then takes
 2.7-3.0 ms, against 3.3-3.7 ms in int64 with `%` (best of 7 x 20 calls,
 2-core host, Python 3.11, numpy 2.4).
+
+A private gcd over Z[x, y], `_gcd`, runs a primitive pseudo-remainder
+sequence in y over Z[x], with contents taken by the same routine in x; the
+invariants module uses it to find components that f shares with its
+partials or with a Jacobian.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Mapping
 
 __all__ = [
@@ -290,10 +296,19 @@ class BiPoly:
     # -- printing ------------------------------------------------------------
 
     def __str__(self) -> str:
+        # graded-lex with x > y, leading term first
+        return self._text(lambda k: (k[0] + k[1], k[0]))
+
+    def _text(self, order) -> str:
+        """The canonical form with terms sorted by `order`, largest first.
+
+        Messages that name a factor from `_gcd` use lex order with y > x,
+        k -> (k[1], k[0]), so that its leading term, the one `_gcd` makes
+        positive, comes first: `y - x^2`, not `-x^2 + y`.
+        """
         if not self.terms:
             return "0"
-        # graded-lex with x > y, leading term first
-        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
+        keys = sorted(self.terms, key=order, reverse=True)
         pieces = []
         for idx, (i, j) in enumerate(keys):
             c = self.terms[(i, j)]
@@ -314,6 +329,210 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({str(self)!r})"
+
+
+# -- gcd over Z[x, y] ---------------------------------------------------------
+#
+# Z[x, y] is read as Z[x][y]: a polynomial is the tuple of its coefficients
+# in the outer variable, constant term first and no trailing zero, and each
+# coefficient is an int (in Z) or such a tuple (in Z[x]).  Zero may be 0 or
+# (); every routine tests it by truth value, so the two spellings mix.  One
+# set of routines serves both levels: the gcd in y takes contents by the
+# gcd in x, whose contents are integer gcds.
+
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _radd(a, b):
+    if not a:
+        return b
+    if not b:
+        return a
+    if isinstance(a, int):
+        return a + b
+    if len(a) < len(b):
+        a, b = b, a
+    return _trim([_radd(c, b[i]) if i < len(b) else c for i, c in enumerate(a)])
+
+
+def _rneg(a):
+    return -a if isinstance(a, int) else tuple(_rneg(c) for c in a)
+
+
+def _rmul(a, b):
+    """a * b for a and b at the same level."""
+    if not a or not b:
+        return 0
+    if isinstance(a, int):
+        return a * b
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] = _radd(out[i + j], _rmul(ca, cb))
+    return tuple(out)  # Z[x] is a domain: the leading product is not zero
+
+
+def _rquo(a, b):
+    """a / b for b a nonzero divisor of a, both at the same level."""
+    if not a:
+        return 0
+    if isinstance(a, int):
+        return a // b
+    a, n = list(a), len(b) - 1
+    q = [0] * (len(a) - n)
+    for i in range(len(q) - 1, -1, -1):
+        c = q[i] = _rquo(a[i + n], b[-1])
+        for j, bj in enumerate(b):
+            a[i + j] = _radd(a[i + j], _rneg(_rmul(c, bj)))
+    return tuple(q)
+
+
+def _rprem(a, b):
+    """The pseudo-remainder of a by a nonzero b in the outer variable.
+
+    While deg a >= deg b, a becomes lc(b) a - lc(a) v^(deg a - deg b) b:
+    only multiplications, so the coefficients need no division.
+    """
+    n = len(b) - 1
+    while len(a) > n:
+        la, shift = a[-1], len(a) - 1 - n
+        a = [_rmul(b[-1], c) for c in a]
+        for j, bj in enumerate(b):
+            a[shift + j] = _radd(a[shift + j], _rneg(_rmul(la, bj)))
+        a = _trim(a)
+    return a
+
+
+def _is_one(c) -> bool:
+    """c is 1 in Z or in Z[x]: a content that needs no division."""
+    return c == 1 or c == (1,)
+
+
+def _rlead(a) -> int:
+    """The integer leading coefficient: the outer variable's, recursively."""
+    while not isinstance(a, int):
+        a = a[-1]
+    return a
+
+
+def _rcontent(a):
+    """The positive gcd of a's coefficients."""
+    c = 0
+    for coeff in a:
+        c = _rgcd(c, coeff)
+        if _is_one(c):
+            break
+    return c
+
+
+def _rprimitive(a: tuple) -> tuple:
+    """a over its content, signed so that the integer leading coefficient is positive."""
+    if not a:
+        return ()
+    c = _rcontent(a)
+    if _rlead(a) < 0:
+        c = _rneg(c)
+    return a if _is_one(c) else tuple(_rquo(coeff, c) for coeff in a)
+
+
+def _coprime_mod(a, b) -> bool:
+    """True when a and b share no factor of degree >= 1 in the outer variable.
+
+    Read mod the prime 2^31 - 1 with x = 48271, a and b become polynomials
+    over a field in the outer variable.  A common factor d of degree >= 1
+    keeps its degree there when a's leading coefficient, which d's
+    divides, is not 0 there, and then d's image divides both images, so
+    their gcd over the field is not constant.  So a constant gcd of the
+    images proves a and b coprime; anything else proves nothing, and False
+    only sends them on to the pseudo-remainder sequence.  For coprime
+    inputs this replaces the sequence, whose coefficients grow with the
+    degrees: 45 s against under 1 ms for f of total degree 10 with every
+    coefficient set and its Jacobian with a cubic (2-core host, Python 3.11).
+    """
+    prime, point = 2**31 - 1, 48271
+
+    def image(poly):
+        # each coefficient is an int, or a tuple of ints in x
+        out = []
+        for c in poly:
+            if not isinstance(c, int):
+                c = sum(cx * pow(point, i, prime) for i, cx in enumerate(c or ()))
+            out.append(c % prime)
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    u, v = image(a), image(b)
+    if len(u) < len(a):
+        u, v = v, u
+        if len(u) < len(b):
+            return False
+    while v:  # Euclid over the field: u, v <- v, u mod v
+        inverse = pow(v[-1], -1, prime)
+        while len(u) >= len(v):
+            c, shift = u[-1] * inverse % prime, len(u) - len(v)
+            for i, vi in enumerate(v):
+                u[shift + i] = (u[shift + i] - c * vi) % prime
+            while u and not u[-1]:
+                u.pop()
+        u, v = v, u
+    return len(u) == 1
+
+
+def _rgcd(a, b):
+    """The gcd of a and b, at the same level, with a positive integer leading coefficient.
+
+    Ints take math.gcd.  Otherwise the gcd is the gcd of the two contents
+    times the primitive part of the last nonzero term of the primitive
+    pseudo-remainder sequence of the primitive parts (Gauss's lemma).  A
+    primitive polynomial of degree 0 in the outer variable is 1, so an
+    input or a term of degree 0 ends the work there, and so do inputs
+    that `_coprime_mod` proves coprime.
+    """
+    if isinstance(a, int) and isinstance(b, int):
+        return math.gcd(a, b)
+    if not a or not b:
+        a = a or b
+        return _rneg(a) if a and _rlead(a) < 0 else a
+    content = _rgcd(_rcontent(a), _rcontent(b))
+    if len(a) == 1 or len(b) == 1 or _coprime_mod(a, b):
+        return (content,)
+    a, b = _rprimitive(a), _rprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        a, b = b, _rprimitive(_rprem(a, b))
+    if b:
+        a = b
+    return a if _is_one(content) else tuple(_rmul(content, c) for c in a)
+
+
+def _gcd(*polys: BiPoly) -> BiPoly:
+    """The primitive part of the polynomials' gcd over Z[x, y]; 0 when all are zero.
+
+    The integer content is left out, as it has no zeros: a constant gcd
+    gives 1.  The leading coefficient in lex order with y > x (the leading
+    coefficient in y, then its leading one in x) is positive, so the gcd
+    prints with `_text` in that order starting with a positive term.
+    """
+    g = 0
+    for f in sorted(polys, key=BiPoly.degree):  # a constant ends the loop at once
+        rows: dict[int, list[int]] = {}
+        for (i, j), c in f.terms.items():
+            row = rows.setdefault(j, [])
+            row.extend([0] * (i + 1 - len(row)))
+            row[i] = c
+        g = _rgcd(g, tuple(tuple(rows.get(j, ())) for j in range(max(rows, default=-1) + 1)))
+        if len(g) == 1 and len(g[0]) == 1:
+            break
+    terms = {(i, j): c for j, row in enumerate(g or ()) for i, c in enumerate(row or ())}
+    content = math.gcd(*terms.values())
+    return BiPoly({k: c // content for k, c in terms.items()}) if content else BiPoly()
 
 
 # -- parser -----------------------------------------------------------------

@@ -8,7 +8,8 @@ branch's coordinates as series in t, the reference that
 one point of a branch in Python ints.  `extend_pairs` is the digit-pair
 step that tests every candidate, the reference for `counting._extend_pairs`,
 and `full_grid_points` the scan that evaluates every cell of (Z/p^m)^2, the
-reference for `counting.brute_points`.
+reference for `counting.brute_points`.  `quotient` divides in Z[x, y] by
+leading terms, the divisibility check for `polynomials._gcd`.
 """
 
 from __future__ import annotations
@@ -157,3 +158,24 @@ def full_grid_points(f: BiPoly, p: int, m: int) -> PointSet:
         keys.append(np.flatnonzero(hit) + x0 * q)
     keys = np.concatenate(keys)
     return PointSet(p, m, keys // q, keys % q)
+
+
+def quotient(f: BiPoly, d: BiPoly) -> BiPoly | None:
+    """f / d when the nonzero d divides f in Z[x, y], else None.
+
+    Division by leading terms in lex order with y > x: a multiple of d
+    has a leading term divisible by d's, so the remainder stays a
+    multiple until it is 0, or its leading term shows that d does not
+    divide f.  Each step lowers the leading term, so the loop ends.
+    """
+    order = lambda k: (k[1], k[0])  # noqa: E731
+    lead = max(d.terms, key=order)
+    rest, q = f, BiPoly()
+    while not rest.is_zero:
+        (i, j), c = max(rest.terms.items(), key=lambda kc: order(kc[0]))
+        i, j = i - lead[0], j - lead[1]
+        if i < 0 or j < 0 or c % d.terms[lead]:
+            return None
+        term = BiPoly({(i, j): c // d.terms[lead]})
+        q, rest = q + term, rest - term * d
+    return q

@@ -168,7 +168,13 @@ def test_weight_constant_exits_three(capsys):
 def test_repeated_factor_exits_four(capsys):
     code, _, err = run(capsys, "sigma", "--p", "5", "--f", "y^2 - 2*x^2*y + x^4", "--g", "x")
     assert code == 4
-    assert "may have a repeated factor" in err
+    assert "f has the repeated factor y - x^2," in err
+
+
+def test_weight_constant_on_a_component_exits_three(capsys):
+    code, out, err = run(capsys, "sigma", "--p", "7", "--f", "y + 2*x*y", "--g", "2*y")
+    assert (code, out) == (3, "")
+    assert "share the factor y, which is smooth at (0, 0) mod 7" in err
 
 
 @pytest.mark.parametrize("command", [("sigma",), ("verify", "--m", "2..3")], ids=["sigma", "verify"])

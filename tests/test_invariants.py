@@ -7,6 +7,7 @@ linearly in j with the claimed order as slope, all in integer arithmetic.
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from padicsums.invariants import (
     ContactInconclusiveError,
     CurveDepthReport,
     DepthBound,
+    ExponentCertificate,
     WeightConstantError,
+    Witness,
     contact_exponent,
     contact_exponent_onevar,
     contact_order,
@@ -29,7 +32,7 @@ from padicsums.invariants import (
 from padicsums import cli, invariants
 from padicsums.invariants import _HIT_SIEVE, _capped_valuations, _exact_hits, _refuted
 from padicsums.padic import _int_valuation, valuation
-from padicsums.polynomials import BiPoly, parse_poly, parse_univariate
+from padicsums.polynomials import BiPoly, _gcd, parse_poly, parse_univariate
 from padicsums.series import certify_point
 from references import extend_pairs
 
@@ -373,15 +376,88 @@ def test_exponent_detects_weight_vanishing_on_curve():
 
 
 @pytest.mark.parametrize(
-    "curve,weight,p",
-    [("y^2 - 2*x^2*y + x^4", "x", 5), ("y^2 - x^3", "y", 3)],
+    "curve,weight,p,message",
+    [
+        ("y^2 - 2*x^2*y + x^4", "x", 5, r"the repeated factor y - x\^2,"),
+        ("y^2 - x^3", "y", 3, "may have a repeated factor"),
+    ],
     ids=["repeated-factor", "cusp"],
 )
-def test_exponent_without_a_parametrizable_branch_is_inconclusive(curve, weight, p):
-    # Every critical point found is singular, so no contact order is measured;
-    # the weight moves along both curves, so "weight constant" would be wrong.
-    with pytest.raises(ContactInconclusiveError, match="may have a repeated factor"):
+def test_exponent_without_a_parametrizable_branch_is_inconclusive(curve, weight, p, message):
+    # The weight moves along both curves, so "weight constant" would be wrong.
+    # (y - x^2)^2 is decided by the gcd of f and its partials before any search;
+    # at the cusp every critical point found is singular, so no contact order
+    # is measured.
+    with pytest.raises(ContactInconclusiveError, match=message):
         contact_exponent(parse_poly(curve), parse_poly(weight), p)
+
+
+def spy_on_levels(monkeypatch) -> list[int]:
+    """The level k of every `_extend_pairs` call the search makes."""
+    levels = []
+
+    def spy(polys, xs, ys, p, k):
+        levels.append(k)
+        return extend_pairs_fast(polys, xs, ys, p, k)
+
+    extend_pairs_fast = invariants._extend_pairs
+    monkeypatch.setattr(invariants, "_extend_pairs", spy)
+    return levels
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_exponent_names_a_repeated_factor_before_any_search(monkeypatch, p):
+    # (y - x^2)^2: the search used to extend the whole component digit pair by
+    # digit pair (exit 4 at p = 5 after 15,625 classes, exponent 1 "heuristic"
+    # at p = 7); the gcd of f, f_x and f_y names the factor at once
+    levels = spy_on_levels(monkeypatch)
+    with pytest.raises(ContactInconclusiveError, match=r"repeated factor y - x\^2,") as info:
+        contact_exponent(parse_poly("y^2 - 2*x^2*y + x^4"), parse_poly("x"), p)
+    assert info.value.trace[0] == "gcd(f, f_x, f_y) = y - x^2"
+    assert levels == [0]
+
+
+def test_exponent_names_a_component_where_the_weight_is_constant(monkeypatch):
+    # f = y (1 + 2x) and J = 4y share y; g = 2y is 0 along y = 0.  At depth 4
+    # the search took about 3 s and printed exponent 1, "certified", with
+    # 2,401 "undecided" notes.
+    levels = spy_on_levels(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(WeightConstantError, match="share the factor y, which is smooth"):
+        contact_exponent(parse_poly("y + 2*x*y"), parse_poly("2*y"), 7)
+    assert time.perf_counter() - start < 1.0
+    assert levels == [0]
+
+
+def test_exponent_searches_when_the_shared_factor_has_no_smooth_residue():
+    # J = (x^2 + y^2 + 3) (...): the first factor of f is shared with J, but
+    # x^2 + y^2 = 0 mod 3 only at (0, 0), where both partials vanish (and
+    # x^2 + y^2 + 3 has no point over Z_3), so the search runs as before and
+    # finds the certificate it always found
+    f, g = parse_poly("(x^2 + y^2 + 3)*(y - x^2)"), parse_poly("x^2 + y^2")
+    jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
+    assert _gcd(f, jac) == parse_poly("x^2 + y^2 + 3")
+    witness = dict(level=48, order=2, leading_val=0, certified_by="hensel-unique")
+    y0 = 39883221538436254931680
+    assert contact_exponent(f, g, 3) == ExponentCertificate(
+        exponent=2,
+        witnesses=(
+            Witness(x=47555204092331293811005, y=y0, chart_scale=0, **witness),
+            Witness(x=32211238984541216052356, y=y0, chart_scale=0, **witness),
+            Witness(x=0, y=0, chart_scale=1, **witness),
+        ),
+        search_depth=6,
+        confidence="certified",
+        notes=(),
+    )
+
+
+def test_exponent_refuses_the_smooth_residue_scan_above_the_brute_cap():
+    # the factor's residue scan keeps the level-1 scan's cap and message
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="tests at level 1, budget is 100000000"):
+        contact_exponent(parse_poly("y^2 - 2*x^2*y + x^4"), parse_poly("x"), 1000003)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("depth", [0, -1])

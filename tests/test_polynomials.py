@@ -1,10 +1,15 @@
 """Polynomial ring operations and the expression parser."""
 
+import math
+import random
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from padicsums.polynomials import BiPoly, PolySyntaxError, parse_poly, parse_univariate
+from padicsums.polynomials import BiPoly, PolySyntaxError, _gcd, parse_poly, parse_univariate
+from references import quotient
 
 X = BiPoly.variable("x")
 Y = BiPoly.variable("y")
@@ -288,3 +293,85 @@ def test_print_parse_round_trip(terms):
     if f.is_zero:
         return
     assert parse_poly(str(f)).terms == f.terms
+
+
+# -- gcd over Z[x, y] ---------------------------------------------------------------
+
+small_poly = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+    st.integers(min_value=-4, max_value=4),
+    max_size=4,
+).map(BiPoly)
+
+
+def y_major_lead(f: BiPoly) -> int:
+    """The leading coefficient in lex order with y > x."""
+    return f.terms[max(f.terms, key=lambda k: (k[1], k[0]))]
+
+
+@given(small_poly, small_poly)
+def test_gcd_divides_both_and_leaves_coprime_cofactors(f, g):
+    d = _gcd(f, g)
+    if f.is_zero and g.is_zero:
+        assert d.is_zero
+        return
+    assert y_major_lead(d) > 0
+    assert math.gcd(*d.terms.values()) == 1
+    cofactors = [quotient(f, d), quotient(g, d)]
+    assert None not in cofactors
+    assert _gcd(*cofactors).is_constant
+    assert _gcd(g, f) == d
+
+
+@given(small_poly, small_poly, small_poly.filter(lambda c: not c.is_zero))
+def test_gcd_of_multiples_is_a_multiple(a, b, c):
+    if a.is_zero and b.is_zero:
+        return
+    # the gcd is primitive, so it is a multiple of c over its integer content
+    primitive = c.divide_exact(math.gcd(*c.terms.values()))
+    assert quotient(_gcd(a * c, b * c), primitive) is not None
+
+
+@pytest.mark.parametrize(
+    "polys,want",
+    [
+        (("(y - x^2)^2", "-4*x*(y - x^2)"), "y - x^2"),
+        (("-6*y", "4*x*y"), "y"),
+        (("0", "2*x - 6*y"), "3*y - x"),
+        (("y^2 - 2*x^2*y + x^4", "4*x^3 - 4*x*y", "2*y - 2*x^2"), "y - x^2"),
+        (("y + 2*x*y", "4*y"), "y"),
+        (("y - x^2", "-2*x", "1"), "1"),
+        (("6", "-4"), "1"),
+        (("6*x^2*y", "-9*x*y^2", "12*x"), "x"),
+        (("-2*x^2*(2*x*y + 3*y + 2)", "-4*x*(3*x*y + 3*y + 2)", "-2*x^2*(2*x + 3)"), "x"),
+        (("0", "0"), "0"),
+    ],
+)
+def test_gcd_is_primitive_with_a_positive_y_leading_coefficient(polys, want):
+    # no integer content, and messages print the factor y-first
+    got = _gcd(*map(parse_poly, polys))
+    assert got == parse_poly(want)
+    assert got._text(lambda k: (k[1], k[0])) == want
+
+
+def test_gcd_of_dense_coprime_polynomials_needs_no_remainder_sequence():
+    # f of total degree 10 with every coefficient set, and its Jacobian with a
+    # cubic g: the pseudo-remainder sequence took about 45 s on these, as its
+    # coefficients grow with the degrees; the image mod a prime proves them
+    # coprime at once
+    rng = random.Random(5)
+    f = BiPoly({(i, j): rng.randint(-9, 9) or 1 for i in range(11) for j in range(11 - i)})
+    g = BiPoly({(i, j): rng.randint(-9, 9) or 1 for i in range(4) for j in range(4 - i)})
+    jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
+    start = time.perf_counter()
+    assert _gcd(f, f.partial("x"), f.partial("y")) == 1
+    assert _gcd(f, jac) == 1
+    assert time.perf_counter() - start < 1.0
+
+
+def test_gcd_finds_a_factor_whose_image_mod_the_prime_loses_degree():
+    # d's leading coefficient in y vanishes at x = 48271, where the coprimality
+    # test reads x; there the images of d y and d (y + 1) are y and y + 1,
+    # coprime images that prove nothing
+    d = (X - 48271) * Y + 1
+    assert _gcd(d * Y, d * (Y + 1)) == d
