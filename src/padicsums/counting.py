@@ -9,13 +9,20 @@ enumeration.  Since f(x, y) = f(x mod p, y mod p) mod p for integer
 coefficients, the grid scan evaluates f mod p^m only on the cells above a
 point of Y_1, about a 1/p share of the grid; every other cell is a proven
 non-zero.  Smooth points have one Newton division, `_newton_step`,
-which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step;
-`_lift_to` applies it to the points grouped by solved coordinate.  One
-level of the lifting route is `_lift_step`: that step at m = k + 1 on the
-smooth points, their free digit tiled over 0..p-1, and digit pairs at the
-singular ones.  It starts from any points of Y_k: the stationary-phase
+which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step.
+It evaluates f once per call: the points where y is solved for and those
+where x is sit in two blocks of one array, and each block takes its
+correction along its own solved row.  `_lift_to` applies it to the
+smooth points as given.  One level of the lifting route is `_lift_step`:
+that step at m = k + 1 on the smooth points, each block laid out (p, n)
+so that the free digit takes 0..p-1 by broadcasting, and digit pairs at
+the singular ones.  It starts from any points of Y_k: the stationary-phase
 sums of the expsums module use it to lift the singular subtrees, and
-`_lift_to` to lift one representative per smooth class to Y_m.
+`_lift_to` to lift one representative per smooth class to Y_m.  Level 1
+is read from the lift tables (`_lift_tables`), which evaluate f and its
+partials once on the p^2 residues.  Each level's size is bounded before
+it is allocated, smooth * p + singular * p^2 points, and a level above
+`_LIFT_LEVEL_CAP` is refused with BudgetError.
 
 The digit-pair step, `_extend_pairs`, also serves the critical-locus
 search of the invariants module.  Above level 1 it is first-order Hensel
@@ -61,6 +68,8 @@ _VECTOR_MODULUS_CAP = 2**31
 _PAIR_BLOCK = 2**14
 # Grid cells per brute-scan block (512 KB per int32 array).
 _GRID_BLOCK = 2**17
+# Points one lift level may hold (512 MB as a (2, n) int64 array).
+_LIFT_LEVEL_CAP = 2**25
 
 
 class BudgetError(RuntimeError):
@@ -89,13 +98,16 @@ class PointSet:
         ys = np.asarray(self.ys, dtype=np.int64)
         _check_vector_safe(q)
         for arr in (xs, ys):
-            if len(arr) and (int(arr.min()) < 0 or int(arr.max()) >= q):
+            # read as unsigned, a negative int64 is at least 2^63 > q
+            if len(arr) and arr.view(np.uint64).max() >= q:
                 raise ValueError(f"coordinates must be canonical residues mod {q}")
-        keys = np.sort(xs * q + ys)
-        if (np.diff(keys) == 0).any():
+        keys = xs * q + ys
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise ValueError("duplicate points in a PointSet")
-        object.__setattr__(self, "xs", keys // q)
-        object.__setattr__(self, "ys", keys % q)
+        xs, ys = np.divmod(keys, q)
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -241,19 +253,26 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
 
 
 def _lift_tables(f: BiPoly, p: int):
-    """f_x and f_y mod p over the level-1 grid, and the inverses mod p.
+    """Residue tables of f over the level-1 grid, and Y_1.
 
     A point keeps its residue (x0, y0) mod p as it lifts, so the partials
     mod p of a point at any level are read from the tables at x0*p + y0.
-    The inverse table holds 0 at 0.  The tables span the level-1 grid of
-    p^2 cells, so they get the brute scan's cap on that grid.
+    The tuple holds, per cell, f_x and f_y mod p, the row solved for
+    (0: y, where f_y is a unit mod p; 1: x, where only f_x is; 2:
+    singular), and -1/f_s mod p for that partial (0 where singular); then
+    the x and y arrays of Y_1 in cell order, which is the order of
+    `_extend_pairs` at k = 0.  The tables span the level-1 grid of p^2
+    cells, so they get the brute scan's cap on that grid.
     """
     if p * p > BRUTE_BUDGET:
         raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
     grid = np.arange(p, dtype=np.int64)
     gx, gy = np.repeat(grid, p), np.tile(grid, p)
-    inv = np.array([0] + [pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    return f.partial("x").horner(gx, gy, p), f.partial("y").horner(gx, gy, p), inv
+    fx, fy = f.partial("x").horner(gx, gy, p), f.partial("y").horner(gx, gy, p)
+    kind = np.where(fy != 0, 0, np.where(fx != 0, 1, 2))
+    inv = np.array([0] + [p - pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
+    zeros = np.flatnonzero(f.horner(gx, gy, p) == 0)
+    return fx, fy, kind, inv[np.where(kind == 0, fy, fx)], gx[zeros], gy[zeros]
 
 
 def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
@@ -262,67 +281,88 @@ def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
     return tables[0][cell], tables[1][cell]
 
 
-def _solved_groups(tables, xs: np.ndarray, ys: np.ndarray, p: int):
-    """The smooth points by solved coordinate, as (row, mask, w) triples.
+def _by_solved(tables, xs: np.ndarray, ys: np.ndarray, p: int):
+    """The points grouped by solved coordinate: (xs, ys, w, n_y, n_smooth).
 
-    First the points where y (row 1) is solved for, f_y a unit mod p, then
-    those where x (row 0) is, f_y = 0 and f_x a unit; w = 1/f_s mod p at
-    each point of the group, from the inverse table.  Points in neither
-    mask are singular.
+    First the n_y points where y is solved for, then those where x is, up
+    to n_smooth, then the singular ones, each group in input order; w is
+    -1/f_s mod p at each smooth point, from the tables.  Points of one
+    kind come back as given.
     """
-    fx_red, fy_red = _residue_partials(tables, xs, ys, p)
-    on_y = fy_red != 0
-    on_x = ~on_y & (fx_red != 0)
-    return [(1, on_y, tables[2][fy_red[on_y]]), (0, on_x, tables[2][fx_red[on_x]])]
+    cell = xs % p * p + ys % p
+    kind = tables[2][cell]
+    counts = np.bincount(kind, minlength=3)
+    n_y, n_x = int(counts[0]), int(counts[1])
+    if counts.max() < len(xs):  # mixed kinds: a stable sort groups them
+        order = np.argsort(kind, kind="stable")
+        xs, ys, cell = xs[order], ys[order], cell[order]
+    return xs, ys, tables[3][cell[: n_y + n_x]], n_y, n_y + n_x
+
+
+def _newton_step(f: BiPoly, xs, ys, w, n_y: int, p: int, k: int, m: int, tiles: int):
+    """Smooth points of Y_k lifted to Y_m in one exact Hensel step, as a (2, n) array.
+
+    y is solved for at the first n_y points, x at the rest; w = -1/f_s
+    mod p at each.  With r = m - k <= k, f(P + p^k t) = f(P) + p^k t f_s(P)
+    mod p^m along the solved coordinate, so one Newton step
+    t = (f(P)/p^k) w mod p^r is exact once w = -1/f_s(P) mod p^r; for
+    r >= 2, w doubles its precision by w(2 + f_s w).  With `tiles` = p
+    each point's free coordinate first takes the digits 0..p-1 at p^k, so
+    the columns are every lift to Y_(k+1); with `tiles` = 1 it stays as
+    given.  Each group's columns are tile-major, the y-solved group first,
+    and f is evaluated once over all of them.  Only + * % // act on the
+    arrays, so any integer dtype serves.
+    """
+    r = m - k
+    q, qr = p**k, p**r
+    pts = np.empty((2, tiles * len(xs)), dtype=xs.dtype)
+    groups = []
+    for solved, lo, hi in ((1, 0, n_y), (0, n_y, len(xs))):
+        if hi > lo:
+            block = pts[:, tiles * lo : tiles * hi].reshape(2, tiles, hi - lo)
+            block[0], block[1] = xs[lo:hi], ys[lo:hi]
+            if tiles > 1:
+                block[1 - solved] += q * np.arange(tiles, dtype=xs.dtype)[:, None]
+            wg = w[lo:hi]
+            if r > 1:
+                d = f.partial("xy"[solved]).horner(block[0], block[1], qr)
+                precision = 1
+                while precision < r:
+                    wg = wg * ((2 + d * wg) % qr) % qr
+                    precision *= 2
+            groups.append((solved, lo, hi, block, wg))
+    value = f.horner(pts[0], pts[1], p**m) // q
+    for solved, lo, hi, block, wg in groups:
+        block[solved] += value[tiles * lo : tiles * hi].reshape(tiles, hi - lo) * wg % qr * q
+    return pts
 
 
 def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables):
     """Every lift to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
 
-    Each group of `_solved_groups` is tiled over the p digits of its free
-    coordinate, digit-major, and one Newton step at r = 1 (`_newton_step`)
-    gives each tile its digit of the solved coordinate.  Where both
-    partials vanish mod p, the first-order term of `_extend_pairs` is 0 for
-    every digit pair, so a singular point has all p^2 lifts or none.
-    Columns come as the smooth-y lifts, the smooth-x lifts, then the
-    singular ones; empty input gives a (2, 0) array of its dtype.
+    The smooth points take one `_newton_step` with their free digit tiled
+    over 0..p-1.  Where both partials vanish mod p, the first-order term of
+    `_extend_pairs` is 0 for every digit pair, so a singular point has all
+    p^2 lifts or none.  Columns come as the smooth-y lifts, the smooth-x
+    lifts (each digit-major: the digit, then the points in input order),
+    then the singular ones; empty input gives a (2, 0) array of its dtype.
+    The output has at most smooth * p + singular * p^2 columns; above
+    `_LIFT_LEVEL_CAP` the step raises BudgetError before it allocates.
     """
-    groups = _solved_groups(tables, xs, ys, p)
-    digits = p**k * np.arange(p, dtype=xs.dtype)
+    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys, p)
+    bound = n_smooth * p + (len(xs) - n_smooth) * p * p
+    if bound > _LIFT_LEVEL_CAP:
+        raise BudgetError(
+            f"level {k + 1} may hold {bound} points, the cap is {_LIFT_LEVEL_CAP}"
+        )
     columns = []
-    for solved, on, w in groups:
-        if len(w):
-            tiles = np.tile(np.stack([xs[on], ys[on]]), p)
-            tiles[1 - solved] += np.repeat(digits, len(w))
-            columns.append(_newton_step(f, tiles, np.tile(w, p), solved, p, k, k + 1))
-    singular = ~(groups[0][1] | groups[1][1])
-    if singular.any():
-        columns.append(_extend_pairs((f,), xs[singular], ys[singular], p, k))
+    if n_smooth:
+        columns.append(_newton_step(f, xs[:n_smooth], ys[:n_smooth], w, n_y, p, k, k + 1, p))
+    if n_smooth < len(xs):
+        columns.append(_extend_pairs((f,), xs[n_smooth:], ys[n_smooth:], p, k))
     if len(columns) == 1:  # one kind of point: no copy of the level
         return columns[0]
     return np.concatenate([np.zeros((2, 0), dtype=xs.dtype)] + columns, axis=1)
-
-
-def _newton_step(f: BiPoly, pts: np.ndarray, w, solved: int, p: int, k: int, m: int):
-    """Points of Y_k, the columns of pts, lifted in place to Y_m along row `solved`.
-
-    Row 1 (y) or row 0 (x) is solved for at every point.  With
-    r = m - k <= k, f(P + p^k t) = f(P) + p^k t f_s(P) mod p^m along that
-    coordinate, so one Newton step t = -(f(P)/p^k) w mod p^r is exact,
-    w = 1/f_s(P) mod p^r.  The given w is 1/f_s mod p, exact at r = 1; for
-    r >= 2 it doubles its precision by w(2 - f_s w).  Only + * % // act on
-    the arrays, so any integer dtype serves.  Returns pts.
-    """
-    r = m - k
-    q, qr = p**k, p**r
-    if r > 1:
-        d = f.partial("xy"[solved]).horner(pts[0], pts[1], qr)
-        precision = 1
-        while precision < r:
-            w = w * ((2 - d * w) % qr) % qr
-            precision *= 2
-    pts[solved] += q * (-(f.horner(pts[0], pts[1], p**m) // q) * w % qr)
-    return pts
 
 
 def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, tables):
@@ -330,38 +370,32 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
 
     The coordinate solved for is y where f_y is a unit mod p, else x; the
     free one stays as given, so a point reduced mod p^k gets free digits 0
-    up to p^m.  Each group of `_solved_groups` takes one `_newton_step`
-    (r = m - k <= k); singular points belong to neither and are left out.
-    Returns a (2, n) array whose columns are the y-solved points, then the
-    x-solved ones, each in input order (at m = k, no step: the input as
-    given).
+    up to p^m.  One `_newton_step` (r = m - k <= k) lifts them all;
+    singular points are left out.  Returns a (2, n) array whose columns
+    are the y-solved points, then the x-solved ones, each in input order
+    (at m = k, no step: the input as given).
     """
     if m == k:
         return np.stack([xs, ys])
-    lifted = [
-        _newton_step(f, np.stack([xs[on], ys[on]]), w, solved, p, k, m)
-        for solved, on, w in _solved_groups(tables, xs, ys, p)
-        if len(w)
-    ]
-    return np.concatenate([np.zeros((2, 0), dtype=xs.dtype)] + lifted, axis=1)
+    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys, p)
+    return _newton_step(f, xs[:n_smooth], ys[:n_smooth], w, n_y, p, k, m, 1)
 
 
 def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]:
     """Yield the solution sets mod p, p^2, ..., p^m by digit lifting.
 
-    Level 1 is a scan of the p^2 residues; each further level is one
-    `_lift_step`.  At a residue where a partial of f is a unit mod p each
-    point has exactly p lifts, which is what makes the counts grow by
-    exactly p per level once every residue in play is smooth.  `tables`
-    are `_lift_tables(f, p)`, built here unless the caller has them.
+    Level 1 is read from the lift tables, which scan the p^2 residues; each
+    further level is one `_lift_step`.  At a residue where a partial of f
+    is a unit mod p each point has exactly p lifts, which is what makes the
+    counts grow by exactly p per level once every residue in play is
+    smooth.  `tables` are `_lift_tables(f, p)`, built here unless the
+    caller has them.
     """
     _check_level(p, m)
     _check_vector_safe(p**m)
     if tables is None:
-        tables = _lift_tables(f, p)  # first, so that its cap guards the level-1 scan
-
-    origin = np.zeros(1, dtype=np.int64)
-    xs, ys = _extend_pairs((f,), origin, origin, p, 0)
+        tables = _lift_tables(f, p)
+    xs, ys = tables[4], tables[5]
     yield PointSet(p, 1, xs, ys)
 
     for k in range(1, m):

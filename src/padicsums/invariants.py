@@ -48,7 +48,7 @@ from .counting import (
 )
 from .expsums import SumRecord
 from .padic import INFINITY, _check_level, _int_valuation
-from .polynomials import BiPoly, _gcd
+from .polynomials import BiPoly, _gcd, _squarefree
 from .series import (
     CurvePoint,
     HenselPreconditionError,
@@ -431,15 +431,17 @@ def contact_exponent(
 
     A component that f and the Jacobian J = f_x g_y - f_y g_x share is
     decided exactly, by gcds over Z[x, y], before any search.  When
-    r = gcd(f, f_x, f_y) is not constant, f has the repeated factor r (Q_p
-    has characteristic 0).  If r has a smooth residue (a zero mod p at
-    which a partial of r is a unit, so a point over Z_p by Hensel), the
-    curve is not reduced there and ContactInconclusiveError names r.  When
-    f is squarefree and h = gcd(f, J) is not constant with a smooth
-    residue, J vanishes on h = 0, so g is constant along each branch of
-    that component: WeightConstantError names h.  A shared factor with no
-    smooth residue, such as r = s^2 when f = s^3, leaves the input to the
-    search.
+    r = gcd(f, f_x, f_y) is not constant, f has a repeated factor (Q_p has
+    characteristic 0): each factor of s = r / gcd(r, r_x, r_y), the
+    squarefree part of r, divides f at least twice.  If s has a smooth
+    residue (a zero mod p at which a partial of s is a unit, so a point
+    over Z_p by Hensel), the curve is not reduced there and
+    ContactInconclusiveError names s.  (r itself would not do: f = s^3
+    gives r = s^2, every zero of which is singular.)  When f is squarefree
+    and h = gcd(f, J) is not constant with a smooth residue, J vanishes on
+    h = 0, so g is constant along each branch of that component:
+    WeightConstantError names h.  A shared factor with no smooth residue,
+    such as x^2 + y^2 at p = 3, leaves the input to the search.
 
     Candidates are the classes mod p^depth where both f and the Jacobian
     J = f_x g_y - f_y g_x vanish.  During the search a class is certified as
@@ -474,13 +476,17 @@ def contact_exponent(
     # shared components first, exactly (see above); the search is the fallback
     repeated = _gcd(f, f.partial("x"), f.partial("y"))
     if not repeated.is_constant:
-        at = _smooth_residue(repeated, p)
+        factor = _squarefree(repeated)  # s, not s^2, when f = s^3
+        at = _smooth_residue(factor, p)
         if at:
-            name = _y_major(repeated)
+            name = _y_major(factor)
+            notes = [f"gcd(f, f_x, f_y) = {_y_major(repeated)}"]
+            if factor != repeated:
+                notes.append(f"its squarefree part is {name}")
             raise ContactInconclusiveError(
                 f"f has the repeated factor {name}, which has a point over Z_p: "
                 "the curve is not reduced there",
-                [f"gcd(f, f_x, f_y) = {name}", f"{name} = 0 is smooth at {at} mod {p}"],
+                notes + [f"{name} = 0 is smooth at {at} mod {p}"],
             )
     else:
         shared = _gcd(f, jac)

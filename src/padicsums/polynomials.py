@@ -7,28 +7,40 @@ evaluation time.  The canonical string form (graded-lex term order, explicit
 
 Two evaluators, split by operand type.  `BiPoly.evaluate` takes Python ints
 and sums the terms with three-argument `pow`.  `BiPoly.horner` takes
-anything with `+`, `*` (and `%` when reducing); the package passes it numpy
-arrays of points and BiPolys (exact composition).  A branch's truncated
-series are not among them: `series` composes a polynomial with a branch in
-the anchor's chart, with far fewer series products than a Horner in x over
-a Horner in y.  On
-Python ints Horner is the slower of the two: 3.3-8.3 us per call against
-0.65-1.25 us for the term sum, on three critical-locus search curves and
-their Jacobians mod 5^7 (2-core host, Python 3.11).  On arrays it is the
-faster one: each step is one whole-array multiply-add, where a term sum
-builds a power array per monomial.  Given x as a column and y as a row,
-it evaluates a grid with the x steps on one value per row:
-brute_points(y^2 - x^3 + x, p=3, m=6) takes 3.0-3.5 ms this way, against
-30-34 ms when every step spanned the whole grid (2-core host, Python 3.11).
-Integer arrays are reduced by floor division rather than `%`, and the brute
-grid runs in int32 blocks of about 2^17 cells: the same call then takes
-2.7-3.0 ms, against 3.3-3.7 ms in int64 with `%` (best of 7 x 20 calls,
-2-core host, Python 3.11, numpy 2.4).
+anything with `+`, `*` (and `%`, `//` when reducing); the package passes it
+numpy arrays of points and BiPolys (exact composition).  A branch's
+truncated series are not among them: `series` composes a polynomial with a
+branch in the anchor's chart, with far fewer series products than a Horner
+in x over a Horner in y.  Horner's rows of coefficients are built once per
+polynomial and kept on the instance beside its partials; each coefficient
+is reduced as it is read, a cheap Python-int `%`, so one row set serves
+every modulus.
+
+The reduction rule: with a modulus, x, y and the coefficients are reduced
+first, and an integer array accumulator carries an exact Python-int bound
+on its entries.  It is reduced only when the next multiply-add could leave
+its dtype, and once at the end.  At the lift's moduli (7^3, 5^4, 3^5) a
+cubic then needs about one reduction instead of one per step; near 2^31 in
+int64 every step still reduces.  Object arrays and Python ints are reduced
+at every step.  A cubic on 3 points takes 10.8 us mod 7^3 and 5^4, against
+19.1-19.3 us when every step reduced and the rows were rebuilt per call,
+and 18.8 us against 19.9 us mod 5^12 (best of 7 x 5000 calls, 2-core host,
+Python 3.11, numpy 2.4).  On Python ints Horner is the slower of the two
+evaluators: 1.8-5.0 us per call against 0.38-0.88 us for the term sum, on
+three critical-locus search curves and their Jacobians mod 5^7 (same host).
+On arrays it is the faster one: each step is one whole-array multiply-add,
+where a term sum builds a power array per monomial.  Given x as a column
+and y as a row, it evaluates a grid with the x steps on one value per row:
+brute_points(y^2 - x^3 + x, p=3, m=6) took 3.0-3.5 ms this way, against
+30-34 ms when every step spanned the whole grid, before the residue sieve
+of the brute scan (2-core host, Python 3.11); with the sieve, int32 blocks
+and the reduction rule it takes 0.67 ms (best of 7 x 20 calls, same host).
 
 A private gcd over Z[x, y], `_gcd`, runs a primitive pseudo-remainder
 sequence in y over Z[x], with contents taken by the same routine in x; the
 invariants module uses it to find components that f shares with its
-partials or with a Jacobian.
+partials or with a Jacobian, and `_squarefree`, an exact division by the
+same routines, to name each repeated factor once.
 """
 
 from __future__ import annotations
@@ -48,6 +60,14 @@ __all__ = [
 MAX_EXPONENT = 512
 
 
+def _int_limit(operand) -> int:
+    """The largest value of an integer array's dtype; 0 for any other operand."""
+    dtype = getattr(operand, "dtype", None)
+    if dtype is None or dtype.kind not in "iu":
+        return 0
+    return 2 ** (8 * dtype.itemsize - (dtype.kind == "i")) - 1
+
+
 class PolySyntaxError(ValueError):
     """Malformed polynomial text; `position` is the 1-based column, as printed."""
 
@@ -60,10 +80,11 @@ class BiPoly:
     """Polynomial in x, y over Z, stored as a map (deg_x, deg_y) -> coeff.
 
     Nothing assigns or mutates `terms` after __init__, so each partial
-    derivative is computed once and kept on the instance.
+    derivative, and the coefficient rows of `horner`, are computed once
+    and kept on the instance.
     """
 
-    __slots__ = ("terms", "_partials")
+    __slots__ = ("terms", "_partials", "_rows")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
@@ -75,6 +96,7 @@ class BiPoly:
                 clean[(int(i), int(j))] = c
         self.terms = clean
         self._partials: dict[str, BiPoly] = {}
+        self._rows: tuple[tuple[int, ...], ...] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -222,57 +244,75 @@ class BiPoly:
     def horner(self, x, y, modulus: int | None = None):
         """Value at non-scalar operands: Horner in y over Horner in x.
 
-        Uses only `+`, `*` and, when `modulus` is given, `%`, so x and y may
-        be numpy arrays of points or, with no modulus, polynomials:
-        g.horner(x(s), y(s)) is the exact composition g(x(s), y(s)) as a
-        BiPoly.  Other ring elements work too, but a branch's series are
-        composed by `Parametrization.compose_poly`, in the anchor's chart.
-        Arrays may have one shape or
-        broadcast: x of shape (n, 1) and y of shape (1, q) evaluate the
-        (n, q) grid, with each x-Horner step on n values only.  The result
-        has the operands' broadcast shape even for a constant or zero
-        polynomial, except that when f (mod `modulus`) lacks y, or x, it
-        has the shape of x, or y, alone.  With a modulus, x, y and every
-        coefficient are reduced first (coefficients may exceed int64), so
-        each step computes at most (modulus - 1)^2 + modulus - 1: int32
-        arrays stay exact for modulus^2 < 2^31, int64 arrays for
+        Uses only `+`, `*` and, when `modulus` is given, `%` and `//`, so x
+        and y may be numpy arrays of points or, with no modulus,
+        polynomials: g.horner(x(s), y(s)) is the exact composition
+        g(x(s), y(s)) as a BiPoly.  Other ring elements work too, but a
+        branch's series are composed by `Parametrization.compose_poly`, in
+        the anchor's chart.  Arrays may have one shape or broadcast: x of
+        shape (n, 1) and y of shape (1, q) evaluate the (n, q) grid, with
+        each x-Horner step on n values only.  The result has the operands'
+        broadcast shape even for a constant or zero polynomial, except that
+        when f (mod `modulus`) lacks y, or x, it has the shape of x, or y,
+        alone.
+
+        With a modulus, x, y and every coefficient are reduced first
+        (coefficients may exceed int64).  An integer array accumulator then
+        carries an exact Python-int bound on its entries and is reduced
+        only when the next multiply-add could leave its dtype, and once at
+        the end; the dtype is the narrowest of the array operands', so
+        int32 arrays stay exact for modulus^2 < 2^31 and int64 arrays for
         modulus <= 2^31.  Integer arrays are reduced by floor division,
         r = acc // modulus; acc -= r * modulus, since numpy divides an
-        array by a scalar about 4x faster than it takes `%`; Python ints
-        and object arrays use `%`.
+        array by a scalar about 4x faster than it takes `%`.  Object arrays
+        and Python ints are reduced by `%` at every step.
         """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._horner_rows()
+        limit = None  # the largest value the accumulator may hold, None: no reduction
         if modulus is not None:
             x, y = x % modulus, y % modulus
-        rows: dict[int, dict[int, int]] = {}
-        for (i, j), c in self.terms.items():
-            rows.setdefault(j, {})[i] = c if modulus is None else c % modulus
+            top = modulus - 1
+            limit = min(_int_limit(x), _int_limit(y))
 
-        def step(acc, var, c):
-            # acc * var + c; a zero Python-int acc or c costs no operand work,
-            # and the in-place reduction acts on the fresh result
-            if isinstance(acc, int) and acc == 0:
-                return c
-            acc = acc * var if isinstance(c, int) and c == 0 else acc * var + c
-            if modulus is None:
-                return acc
-            if getattr(getattr(acc, "dtype", None), "kind", None) in ("i", "u"):
-                r = acc // modulus
-                r *= modulus
-                acc -= r
-            else:
-                acc %= modulus
+        def reduce(acc):
+            if isinstance(acc, int) or acc.dtype.kind not in "iu":
+                return acc % modulus
+            r = acc // modulus  # acc is a fresh array: reduce it in place
+            r *= modulus
+            acc -= r
             return acc
 
-        acc = 0
-        for j in range(max(rows, default=0), -1, -1):
-            row = rows.get(j, {})
-            inner = 0
-            for i in range(max(row, default=0), -1, -1):
-                inner = step(inner, x, row.get(i, 0))
-            acc = step(acc, y, inner)
+        def step(acc, bound, var, c, c_bound):
+            # acc * var + c and a bound on it; a zero Python-int acc or c costs
+            # no operand work
+            if isinstance(acc, int) and acc == 0:
+                return c, c_bound
+            if limit is not None and bound * top + c_bound > limit:
+                acc, bound = reduce(acc), top
+                if bound * top + c_bound > limit:
+                    c, c_bound = reduce(c), top
+            acc = acc * var if isinstance(c, int) and c == 0 else acc * var + c
+            return acc, (0 if limit is None else bound * top + c_bound)
+
+        acc, bound = 0, 0
+        for row in rows:
+            inner, inner_bound = 0, 0
+            for c in row:
+                if modulus is not None:
+                    c %= modulus
+                inner, inner_bound = step(inner, inner_bound, x, c, c)
+            acc, bound = step(acc, bound, y, inner, inner_bound)
+        if modulus is not None and bound > top:
+            acc = reduce(acc)
         if isinstance(acc, int):  # a constant: give it the operands' shape
             acc = x * 0 + y * 0 + acc
         return acc
+
+    def _horner_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The coefficients for `horner`: rows in y, each in x, leading first."""
+        return tuple(row[::-1] for row in _nested(self)[::-1]) or ((),)
 
     def shift(self, a: int, b: int) -> "BiPoly":
         """f(x + a, y + b), exact over Z."""
@@ -512,6 +552,21 @@ def _rgcd(a, b):
     return a if _is_one(content) else tuple(_rmul(content, c) for c in a)
 
 
+def _nested(f: BiPoly) -> tuple:
+    """f in Z[x][y], the representation of the routines above."""
+    rows: dict[int, list[int]] = {}
+    for (i, j), c in f.terms.items():
+        row = rows.setdefault(j, [])
+        row.extend([0] * (i + 1 - len(row)))
+        row[i] = c
+    return tuple(tuple(rows.get(j, ())) for j in range(max(rows, default=-1) + 1))
+
+
+def _flat(g) -> BiPoly:
+    """The BiPoly of g in Z[x][y]."""
+    return BiPoly({(i, j): c for j, row in enumerate(g or ()) for i, c in enumerate(row or ())})
+
+
 def _gcd(*polys: BiPoly) -> BiPoly:
     """The primitive part of the polynomials' gcd over Z[x, y]; 0 when all are zero.
 
@@ -522,17 +577,22 @@ def _gcd(*polys: BiPoly) -> BiPoly:
     """
     g = 0
     for f in sorted(polys, key=BiPoly.degree):  # a constant ends the loop at once
-        rows: dict[int, list[int]] = {}
-        for (i, j), c in f.terms.items():
-            row = rows.setdefault(j, [])
-            row.extend([0] * (i + 1 - len(row)))
-            row[i] = c
-        g = _rgcd(g, tuple(tuple(rows.get(j, ())) for j in range(max(rows, default=-1) + 1)))
+        g = _rgcd(g, _nested(f))
         if len(g) == 1 and len(g[0]) == 1:
             break
-    terms = {(i, j): c for j, row in enumerate(g or ()) for i, c in enumerate(row or ())}
-    content = math.gcd(*terms.values())
-    return BiPoly({k: c // content for k, c in terms.items()}) if content else BiPoly()
+    g = _flat(g)
+    content = math.gcd(*g.terms.values())
+    return BiPoly({k: c // content for k, c in g.terms.items()}) if content else g
+
+
+def _squarefree(r: BiPoly) -> BiPoly:
+    """r / gcd(r, r_x, r_y) for r from `_gcd`: each factor of r once.
+
+    A factor s^e of r (e >= 1) gives s^(e-1) in gcd(r, r_x, r_y), so the
+    quotient is the product of r's distinct factors.  It is exact over
+    Z[x, y]; r primitive with a positive leading coefficient gives one too.
+    """
+    return _flat(_rquo(_nested(r), _nested(_gcd(r, r.partial("x"), r.partial("y")))))
 
 
 # -- parser -----------------------------------------------------------------
@@ -604,15 +664,15 @@ class _Parser:
         return poly
 
     def expr(self) -> BiPoly:
-        sign = 1
-        if self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-        total = sign * self.term()
-        while self.peek()[0] in ("+", "-"):
+        # the terms add into one dict: one BiPoly per expression, not per sign
+        total: dict[tuple[int, int], int] = {}
+        op = self.advance()[0] if self.peek()[0] in ("+", "-") else "+"
+        while True:
+            for k, c in self.term().terms.items():
+                total[k] = total.get(k, 0) + (c if op == "+" else -c)
+            if self.peek()[0] not in ("+", "-"):
+                return BiPoly(total)
             op = self.advance()[0]
-            nxt = self.term()
-            total = total + nxt if op == "+" else total - nxt
-        return total
 
     def term(self) -> BiPoly:
         prod = self.factor()

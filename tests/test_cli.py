@@ -171,6 +171,17 @@ def test_repeated_factor_exits_four(capsys):
     assert "f has the repeated factor y - x^2," in err
 
 
+@pytest.mark.parametrize(
+    "f,g,p,factor",
+    [("(y - x^2)^3", "x", "5", "y - x^2"), ("x^4*y^2 + 3*x^4*y", "3*x*y^2 - 3", "7", "x")],
+)
+def test_a_cubed_or_higher_repeated_factor_exits_four(capsys, f, g, p, factor):
+    # gcd(f, f_x, f_y) is (y - x^2)^2, or x^3: its squarefree part is named
+    code, out, err = run(capsys, "sigma", "--p", p, "--f", f, "--g", g)
+    assert (code, out) == (4, "")
+    assert f"f has the repeated factor {factor}, which has a point over Z_p" in err
+
+
 def test_weight_constant_on_a_component_exits_three(capsys):
     code, out, err = run(capsys, "sigma", "--p", "7", "--f", "y + 2*x*y", "--g", "2*y")
     assert (code, out) == (3, "")

@@ -63,6 +63,21 @@ def test_pointset_rejects_duplicates_and_out_of_range():
         PointSet(5, 1, np.array([5]), np.array([0]))
 
 
+@pytest.mark.parametrize(
+    "xs, ys, message",
+    [
+        ([0, -1], [3, 4], "canonical residues mod 125"),  # negative x
+        ([2, 3], [-(2**40), 4], "canonical residues mod 125"),  # negative y, far below
+        ([125, 3], [0, 4], "canonical residues mod 125"),  # x = q
+        ([3, 7], [4, 125], "canonical residues mod 125"),  # y = q
+        ([4, 3, 4], [9, 9, 9], "duplicate points"),  # not adjacent until sorted
+    ],
+)
+def test_pointset_refuses_bad_coordinates_and_duplicates(xs, ys, message):
+    with pytest.raises(ValueError, match=message):
+        PointSet(5, 3, np.array(xs), np.array(ys))
+
+
 def test_pointset_key_order_at_the_cap():
     top = 2**31 - 1
     ps = PointSet(2, 31, np.array([top, 0, top]), np.array([0, top, top]))
@@ -249,7 +264,8 @@ def test_lift_step_of_no_points():
 
 
 def test_smooth_lifts_test_no_digit_pairs(monkeypatch):
-    # y - x^2 has f_y = 1: only the level-1 scan tests digit pairs
+    # y - x^2 has f_y = 1: level 1 comes from the lift tables and every
+    # further level from Newton steps, so no digit pair is tested
     calls = []
 
     def spy(polys, xs, ys, p, k):
@@ -258,7 +274,7 @@ def test_smooth_lifts_test_no_digit_pairs(monkeypatch):
 
     monkeypatch.setattr(counting, "_extend_pairs", spy)
     assert len(lift_points(parse_poly("y - x^2"), 5, 4)) == 5**4
-    assert calls == [0]
+    assert calls == []
 
 
 def test_lift_handles_singular_residues():
@@ -318,6 +334,67 @@ def test_lift_step_matches_a_scalar_digit_search_in_column_order(text, p):
         got = _lift_step(f, xs, ys, p, k, tables)
         want = scalar_lift_step(f, list(zip(xs.tolist(), ys.tolist())), p, k)
         assert list(zip(got[0].tolist(), got[1].tolist())) == want, k
+
+
+@pytest.mark.parametrize(
+    "text,p",
+    # both solved coordinates at one level; a singular residue, (0, 0) mod 7
+    [("x^3 + y^3 - 1", 7), ("y^2 - x^3 - 49", 7), ("x^2 + y^2 + 1", 5)],
+)
+def test_lift_step_keeps_column_order_with_mixed_residues(text, p):
+    f = parse_poly(text)
+    tables = _lift_tables(f, p)
+    rng = np.random.default_rng(1)
+    for k in (1, 2):
+        level = lift_points(f, p, k)
+        order = rng.permutation(len(level))
+        xs, ys = level.xs[order], level.ys[order]
+        got = _lift_step(f, xs, ys, p, k, tables)
+        want = scalar_lift_step(f, list(zip(xs.tolist(), ys.tolist())), p, k)
+        assert list(zip(got[0].tolist(), got[1].tolist())) == want, k
+
+
+def test_level_one_comes_from_the_lift_tables():
+    # the tables' zeros of f are Y_1 in the order of the level-1 digit-pair scan
+    for text, p in [("x^3 + y^3 - 1", 7), ("y^2 - x^3", 5), ("x^2 - 2", 5), ("3*x*y + 3", 3)]:
+        f = parse_poly(text)
+        origin = np.zeros(1, dtype=np.int64)
+        want = _extend_pairs((f,), origin, origin, p, 0)
+        tables = _lift_tables(f, p)
+        assert tables[4].tolist() == want[0].tolist() and tables[5].tolist() == want[1].tolist()
+
+
+def test_lift_level_cap_refuses_before_any_lift(monkeypatch):
+    # y^2 - x^3 at p = 5: Y_3 has 100 smooth and 125 singular points, so level
+    # 4 may hold 100 * 5 + 125 * 25 = 3625; the refusal comes before either
+    # lift runs
+    calls = []
+    for name in ("_newton_step", "_extend_pairs"):
+        real = getattr(counting, name)
+        monkeypatch.setattr(
+            counting, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    monkeypatch.setattr(counting, "_LIFT_LEVEL_CAP", 3624)
+    f = parse_poly("y^2 - x^3")
+    levels = lift_levels(f, 5, 6)
+    assert [len(next(levels)) for _ in range(3)] == [5, 45, 225]
+    done = len(calls)
+    assert {"_newton_step", "_extend_pairs"} <= set(calls)
+    with pytest.raises(BudgetError, match="level 4 may hold 3625 points, the cap is 3624"):
+        next(levels)
+    assert len(calls) == done
+    monkeypatch.setattr(counting, "_LIFT_LEVEL_CAP", 3625)
+    assert len(lift_points(f, 5, 4)) == len(brute_points(f, 5, 4))
+
+
+def test_verify_above_the_lift_level_cap_exits_two(monkeypatch, capsys):
+    # with the cap at 2^25 points, the singular subtree of the cusp at p = 5
+    # is refused at level 9 of m = 3..10 (it used to grow to gigabytes)
+    monkeypatch.setattr(counting, "_LIFT_LEVEL_CAP", 10**4)
+    code = cli.main(["verify", "--p", "5", "--m", "3..10", "--f", "y^2 - x^3", "--g", "y"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "may hold" in err and "the cap is 10000" in err
 
 
 def zero_digit_lifts(f, xs, ys, p, k, m, tables):

@@ -7,6 +7,7 @@ linearly in j with the claimed order as slope, all in integer arithmetic.
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -414,6 +415,42 @@ def test_exponent_names_a_repeated_factor_before_any_search(monkeypatch, p):
     with pytest.raises(ContactInconclusiveError, match=r"repeated factor y - x\^2,") as info:
         contact_exponent(parse_poly("y^2 - 2*x^2*y + x^4"), parse_poly("x"), p)
     assert info.value.trace[0] == "gcd(f, f_x, f_y) = y - x^2"
+    assert levels == [0]
+
+
+def test_a_squarefree_repeated_factor_keeps_its_trace(monkeypatch):
+    # r = gcd(f, f_x, f_y) = y - x^2 is squarefree: r is the factor named
+    with pytest.raises(ContactInconclusiveError) as info:
+        contact_exponent(parse_poly("y^2 - 2*x^2*y + x^4"), parse_poly("x"), 5)
+    assert list(info.value.trace) == [
+        "gcd(f, f_x, f_y) = y - x^2",
+        "y - x^2 = 0 is smooth at (0, 0) mod 5",
+    ]
+
+
+@pytest.mark.parametrize(
+    "curve,weight,p,factor,repeated",
+    [
+        # r = (y - x^2)^2, every zero of which is singular; the search used to
+        # print exponent 1, "heuristic", at the budget
+        ("(y - x^2)^3", "x", 5, "y - x^2", "y^2 - 2*x^2*y + x^4"),
+        ("(y - x^2)^3", "x", 7, "y - x^2", "y^2 - 2*x^2*y + x^4"),
+        # f = x^4 y (y + 3): r = x^3
+        ("x^4*y^2 + 3*x^4*y", "3*x*y^2 - 3", 7, "x", "x^3"),
+        ("(y - x^2)^4*(x + 1)", "y", 5, "y - x^2", "y^3 - 3*x^2*y^2 + 3*x^4*y - x^6"),
+    ],
+)
+def test_exponent_names_the_squarefree_part_of_a_repeated_factor(
+    monkeypatch, curve, weight, p, factor, repeated
+):
+    levels = spy_on_levels(monkeypatch)
+    with pytest.raises(ContactInconclusiveError, match=f"the repeated factor {re.escape(factor)},") as info:
+        contact_exponent(parse_poly(curve), parse_poly(weight), p)
+    assert list(info.value.trace) == [
+        f"gcd(f, f_x, f_y) = {repeated}",
+        f"its squarefree part is {factor}",
+        f"{factor} = 0 is smooth at (0, 0) mod {p}",
+    ]
     assert levels == [0]
 
 

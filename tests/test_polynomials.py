@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from padicsums.polynomials import BiPoly, PolySyntaxError, _gcd, parse_poly, parse_univariate
+from padicsums.polynomials import (
+    BiPoly,
+    PolySyntaxError,
+    _gcd,
+    _squarefree,
+    parse_poly,
+    parse_univariate,
+)
 from references import quotient
 
 X = BiPoly.variable("x")
@@ -137,6 +144,56 @@ def test_horner_on_broadcast_operands_matches_the_repeat_tile_grid(text, shape, 
     assert np.array_equal(np.broadcast_to(out, (len(xs), len(ys))).ravel(), flat)
 
 
+coefficient = st.one_of(
+    st.integers(min_value=-99, max_value=99),
+    st.integers(min_value=-(2**80), max_value=2**80),  # past int64
+)
+horner_poly = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4)),
+    coefficient,
+    max_size=7,
+).map(BiPoly)
+# the dtype, the moduli it is exact for, and the coordinates it holds
+HORNER_KINDS = {
+    "int32": (np.int32, 46340, 2**31 - 1),  # 46340^2 is just below 2^31
+    "int64": (np.int64, 2**31, 2**63 - 1),
+    "object": (object, 2**31, 2**100),
+}
+
+
+def modulus_up_to(top: int):
+    edges = [2, 3, top - 1, top, 5**4, 7**3]  # the ends, and lift moduli
+    return st.one_of(st.integers(min_value=2, max_value=top), st.sampled_from(edges))
+
+
+@given(horner_poly, st.sampled_from(sorted(HORNER_KINDS)), st.data())
+def test_horner_matches_evaluate(f, kind, data):
+    # the accumulator is reduced only when the next step could leave the
+    # dtype: every value must still be exact, on one shape and on a grid
+    dtype, top, coord = HORNER_KINDS[kind]
+    q = data.draw(modulus_up_to(top), label="modulus")
+    values = st.integers(min_value=-coord, max_value=coord)
+    xs = data.draw(st.lists(values, min_size=1, max_size=4), label="xs")
+    ys = data.draw(st.lists(values, min_size=1, max_size=4), label="ys")
+    want = [[f.evaluate(x, y, q) for y in ys] for x in xs]
+    x_col, y_row = np.array(xs, dtype=dtype)[:, None], np.array(ys, dtype=dtype)[None, :]
+    grid = f.horner(x_col, y_row, q)
+    assert grid.dtype == x_col.dtype
+    assert np.broadcast_to(grid, (len(xs), len(ys))).tolist() == want
+    n = min(len(xs), len(ys))
+    flat = f.horner(x_col[:n, 0], y_row[0, :n], q)
+    assert flat.shape == (n,) and flat.tolist() == [want[i][i] for i in range(n)]
+    assert f.horner(xs[0], ys[0], q) == want[0][0]  # Python ints
+
+
+@given(st.integers(min_value=-(2**80), max_value=2**80), modulus_up_to(2**31))
+def test_horner_of_a_constant_matches_evaluate(c, q):
+    f = BiPoly.constant(c)
+    xs = np.arange(6, dtype=np.int64).reshape(2, 3)
+    assert f.horner(xs, xs, q).tolist() == [[c % q] * 3] * 2
+    assert f.horner(xs[:, :1], xs[:1, :], q).tolist() == [[c % q] * 3] * 2
+
+
 def test_partials_are_computed_once():
     f = parse_poly("x^3*y - y^2")
     assert f.partial("x") is f.partial("x")
@@ -259,6 +316,66 @@ def test_parse_errors_name_the_end_of_input(text, message):
     assert str(exc.value) == message
 
 
+def expressions():
+    """(text, BiPoly) pairs: long signed sums of products, powers and parentheses.
+
+    The BiPoly is built by ring arithmetic, term by term, as the parser
+    built it before it added the terms of a sum into one dict.
+    """
+    atoms = st.one_of(
+        st.integers(min_value=0, max_value=10**20).map(lambda n: (str(n), BiPoly.constant(n))),
+        st.sampled_from([("x", X), ("y", Y)]),
+    )
+
+    def extend(inner):
+        factor = st.one_of(
+            atoms,
+            inner.map(lambda e: (f"({e[0]})", e[1])),
+            st.tuples(atoms, st.integers(min_value=0, max_value=3)).map(
+                lambda a: (f"{a[0][0]}^{a[1]}", a[0][1] ** a[1])
+            ),
+        )
+        term = st.lists(factor, min_size=1, max_size=3).map(
+            lambda fs: (" * ".join(t for t, _ in fs), math.prod((f for _, f in fs), start=BiPoly.constant(1)))
+        )
+
+        def join(parts):
+            (sign, (text, poly)), rest = parts[0], parts[1:]
+            total = -poly if sign == "-" else poly
+            for op, (t, f) in rest:
+                text += f" {op} {t}"
+                total = total + f if op == "+" else total - f
+            return (f"{sign}{text}" if sign != "+" else text), total
+
+        signed = st.tuples(st.sampled_from(["+", "-"]), term)
+        return st.lists(signed, min_size=1, max_size=10).map(join)
+
+    return st.recursive(atoms, extend, max_leaves=16)
+
+
+@given(expressions())
+def test_parse_of_long_sums_matches_ring_arithmetic(case):
+    text, want = case
+    assert parse_poly(text) == want
+    assert parse_poly(f"-({text})") == -want
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x + y - 3*x^2 + x*y - ", "unexpected end of input (column 23)"),
+        ("x - (y + (x - 1) - ", "unexpected end of input (column 20)"),
+        ("-x + y - (2*x - y) + -3", "unexpected '-' (column 22)"),
+        ("x + y - 2*x^2 + y^2 x", "unexpected 'x' (column 21)"),
+        ("(x - y) - (x + y + x^3", "expected ')', found end of input (column 23)"),
+    ],
+)
+def test_parse_errors_in_long_sums(text, message):
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
 def test_parse_error_message_mentions_column():
     with pytest.raises(PolySyntaxError, match="column 4"):
         parse_poly("y -- x")
@@ -352,6 +469,24 @@ def test_gcd_is_primitive_with_a_positive_y_leading_coefficient(polys, want):
     got = _gcd(*map(parse_poly, polys))
     assert got == parse_poly(want)
     assert got._text(lambda k: (k[1], k[0])) == want
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        ("(y - x^2)^3", "y - x^2"),
+        ("(y - x^2)^2", "y - x^2"),
+        ("y - x^2", "y - x^2"),
+        ("x^3", "x"),
+        ("(y - x^2)^4*(x + 1)^3*(2*y + 3)^2", "(y - x^2)*(x + 1)*(2*y + 3)"),
+        ("(3*y - x)^5*(x^2 + y^2 + 3)^2", "(3*y - x)*(x^2 + y^2 + 3)"),
+        ("1", "1"),
+    ],
+)
+def test_squarefree_keeps_each_factor_once(text, want):
+    # of a primitive r with a positive y-leading coefficient, as `_gcd` gives
+    r = _gcd(parse_poly(text))
+    assert _squarefree(r) == _gcd(parse_poly(want))
 
 
 def test_gcd_of_dense_coprime_polynomials_needs_no_remainder_sequence():
