@@ -3,13 +3,15 @@
 Two independent routes to the same set: `brute_points` decides every cell
 of the (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using
 the one-step Hensel formula at residues where a partial derivative is a
-unit and digit pairs elsewhere.  The brute route exists as an oracle for
-the lifting route: the two share the evaluator (`BiPoly.horner`), not the
-enumeration.  Since f(x, y) = f(x mod p, y mod p) mod p for integer
-coefficients, the grid scan evaluates f mod p^m only on the cells above a
-point of Y_1, about a 1/p share of the grid; every other cell is a proven
-non-zero.  Smooth points have one Newton division, `_newton_step`,
-which lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step.
+unit and digit pairs elsewhere.  The brute route is the oracle for the
+lifting route: they share the evaluator (`BiPoly.horner`) and Y_1, from
+the one scan of the p^2 residues (`_residue_zeros`), not the enumeration.
+As f(x, y) = f(x mod p, y mod p) mod p for integer coefficients, every
+point of Y_m lies above one of Y_1: the grid scan evaluates f mod p^m only
+on the cells above Y_1, about a 1/p share of the grid, and a lifted point
+reads its residue facts from the lift tables (`_lift_tables`), one row per
+point of Y_1.  Smooth points have one Newton division, `_newton_step`, which
+lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step.
 It evaluates f once per call: the points where y is solved for and those
 where x is sit in two blocks of one array, and each block takes its
 correction along its own solved row.  `_lift_to` applies it to the
@@ -18,26 +20,22 @@ that step at m = k + 1 on the smooth points, each block laid out (p, n)
 so that the free digit takes 0..p-1 by broadcasting, and digit pairs at
 the singular ones.  It starts from any points of Y_k: the stationary-phase
 sums of the expsums module use it to lift the singular subtrees, and
-`_lift_to` to lift one representative per smooth class to Y_m.  Level 1
-is read from the lift tables (`_lift_tables`), which evaluate f and its
-partials once on the p^2 residues.  Each level's size is bounded before
-it is allocated, smooth * p + singular * p^2 points, and a level above
-`_LIFT_LEVEL_CAP` is refused with BudgetError.
+`_lift_to` to lift one representative per smooth class to Y_m.  Each
+level's size is bounded before it is allocated, smooth * p + singular *
+p^2 points, and a level above `_LIFT_LEVEL_CAP` is refused with BudgetError.
 
 The digit-pair step, `_extend_pairs`, also serves the critical-locus
-search of the invariants module.  Above level 1 it is first-order Hensel
-too: on a class mod p^k, k >= 1, a polynomial is affine in the digit
-pair (a, b) mod p^(k+1), so three evaluations per class decide which of
-its p^2 pairs lift.  Only the level-1 scan evaluates every residue.
+search of the invariants module.  It is first-order Hensel too: on a class
+mod p^k, k >= 1, a polynomial is affine in the digit pair (a, b) mod
+p^(k+1), so three evaluations per class decide which of its p^2 pairs lift.
 
 A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
 
 Point sets and lifting stay in int64; guards cap the modulus so that every
-intermediate product provably fits.  The brute grid is evaluated in int32
-when q^2 < 2^31, which holds under the default budget of 10^8 cells, in
-blocks of about 2^17 cells (many residues' sub-grids per block, or runs of
-one sub-grid's rows), so each block's arrays stay cache-sized.
+intermediate product provably fits.  Both scans go in blocks of about 2^17
+cells, so no array of p^2 cells outlives a block; the brute grid is int32
+when q^2 < 2^31, which holds under the default budget.
 
 The module returns point sets and writes nothing; the command line front
 end, `padicsums.cli`, owns the text format of `points`.
@@ -46,7 +44,7 @@ end, `padicsums.cli`, owns the text format of `points`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -66,7 +64,7 @@ BRUTE_BUDGET = 10**8
 _VECTOR_MODULUS_CAP = 2**31
 # Digit-pair candidates per array pass (128 KB per int64 array).
 _PAIR_BLOCK = 2**14
-# Grid cells per brute-scan block (512 KB per int32 array).
+# Grid cells per block of the residue scan and the brute sub-grids (512 KB as int32).
 _GRID_BLOCK = 2**17
 # Points one lift level may hold (512 MB as a (2, n) int64 array).
 _LIFT_LEVEL_CAP = 2**25
@@ -139,11 +137,8 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
 
     Returns, as the columns of a (2, n) array, every (x + q a, y + q b),
     q = p^k and a, b in 0..p-1, at which each polynomial is 0 mod p^(k+1),
-    ordered by class, then a, then b.
-
-    At k = 0 the pairs are the p^2 residues, and each is evaluated.  At
-    k >= 1, q^2 = 0 mod p^(k+1) and Taylor's formula has integral
-    coefficients, so
+    ordered by class, then a, then b.  Since k >= 1, q^2 = 0 mod p^(k+1),
+    and Taylor's formula has integral coefficients, so
 
         g(x + q a, y + q b) = g(x, y) + q (a g_x(x, y) + b g_y(x, y))  mod p^(k+1).
 
@@ -152,8 +147,7 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     lift is v0 + a (vx - v0) + b (vy - v0): the pairs that lift solve a
     linear condition mod p, read off three evaluations per class and
     polynomial instead of p^2.  A class where g != 0 mod q has no lift,
-    since vx - v0 and vy - v0 are multiples of q.  (At k = 0 the q^2 terms
-    do not vanish, which is why level 1 stays a full scan.)
+    since vx - v0 and vy - v0 are multiples of q.
 
     The arithmetic runs in the dtype of xs: int64 needs p^(k+1) <= 2^31,
     object arrays of Python ints are exact at any level.  Work goes in
@@ -163,18 +157,6 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     """
     q, q1, pp = p**k, p ** (k + 1), p * p
     found = [np.zeros((2, 0), dtype=xs.dtype)]
-    if k == 0:
-        total = len(xs) * pp
-        for start in range(0, total, _PAIR_BLOCK):
-            t = np.arange(start, min(start + _PAIR_BLOCK, total))
-            cls = t // pp
-            cx = xs[cls] + (t // p % p).astype(xs.dtype)
-            cy = ys[cls] + (t % p).astype(xs.dtype)
-            for g in polys:
-                hit = g.horner(cx, cy, q1) == 0
-                cx, cy = cx[hit], cy[hit]
-            found.append(np.stack([cx, cy]))
-        return np.concatenate(found, axis=1)
     digits = np.arange(p, dtype=xs.dtype)
     steps = q * digits
     rows, span = max(1, _PAIR_BLOCK // pp), max(1, _PAIR_BLOCK // p)
@@ -192,6 +174,28 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
             cls, a, b = np.nonzero((want[:, :, a0 : a0 + span, None] == have).all(axis=0))
             found.append(np.stack([bx[cls] + steps[a0:][a], by[cls] + steps[b]]))
     return np.concatenate(found, axis=1)
+
+
+def _residue_zeros(f: BiPoly, p: int):
+    """Y_1, the zeros of f mod p: int64 arrays x, y and keys x*p + y, keys increasing.
+
+    The one scan of the p^2 residues: x a column and y a row, in int32 when
+    p^2 < 2^31, one run of whole rows (about `_GRID_BLOCK` cells) per
+    `BiPoly.horner` call.  A hit's flat index in a run from row x0, plus
+    x0*p, is its key.
+    """
+    dtype = np.int32 if p * p < 2**31 else np.int64
+    rows = max(1, _GRID_BLOCK // p)
+    ys = np.arange(p, dtype=dtype)[None, :]
+    hit, keys = np.empty((min(rows, p), p), dtype=bool), []
+    for x0 in range(0, p, rows):
+        xs = np.arange(x0, min(x0 + rows, p), dtype=dtype)[:, None]
+        # f mod p free of y (or x) gives one column (or row): `out` widens it
+        np.equal(f.horner(xs, ys, p), 0, out=hit[: len(xs)])
+        keys.append(np.flatnonzero(hit[: len(xs)]) + x0 * p)
+    keys = np.concatenate(keys)
+    xs, ys = np.divmod(keys, p)
+    return xs, ys, keys
 
 
 def _grid_zeros(f: BiPoly, x0s: np.ndarray, y0s: np.ndarray, step: int, n: int, modulus: int):
@@ -228,15 +232,13 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
     """Grid oracle: decide every pair in (Z/p^m)^2, in two exact scans.
 
     f has integer coefficients, so f(x, y) = f(x mod p, y mod p) mod p: a
-    cell can vanish mod q = p^m only above a point of Y_1.  The first scan
-    evaluates f mod p on the p^2 residues, which gives Y_1 (the answer at
-    m = 1).  The second evaluates f mod q on the q^2/p^2 cells above each
-    point of Y_1, and on no other cell: every cell it skips is a proven
-    non-zero, so the scan still decides all q^2 cells, and the budget caps
-    that grid.  Both scans run through `_grid_zeros` on `BiPoly.horner`,
-    in int32 when q^2 < 2^31 (no Horner value exceeds q^2 - q), else int64;
-    under the default budget it is always int32, which halves the cost of
-    each grid multiply-add.
+    cell can vanish mod q = p^m only above a point of Y_1.  The first scan,
+    `_residue_zeros`, gives Y_1 (the answer at m = 1).  The second,
+    `_grid_zeros`, evaluates f mod q on the q^2/p^2 cells above each point
+    of Y_1, and on no other cell: every cell it skips is a proven non-zero,
+    so the scan still decides all q^2 cells, and the budget caps that grid.
+    It runs in int32 when q^2 < 2^31 (no Horner value exceeds q^2 - q),
+    which halves the cost of each multiply-add, else int64.
     """
     _check_level(p, m)
     q = p**m
@@ -245,43 +247,46 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
     _check_vector_safe(q)
-    origin = np.zeros(1, dtype=np.int32 if q * q < 2**31 else np.int64)
-    xs, ys = _grid_zeros(f, origin, origin, 1, p, p)
+    xs, ys, _ = _residue_zeros(f, p)
     if m > 1:
-        xs, ys = _grid_zeros(f, xs, ys, p, q // p, q)
+        dtype = np.int32 if q * q < 2**31 else np.int64
+        xs, ys = _grid_zeros(f, xs.astype(dtype), ys.astype(dtype), p, q // p, q)
     return PointSet(p, m, xs, ys)
 
 
-def _lift_tables(f: BiPoly, p: int):
-    """Residue tables of f over the level-1 grid, and Y_1.
+class _LiftTables(NamedTuple):
+    """Y_1 and the residue facts of f at its points, one row per point.
 
-    A point keeps its residue (x0, y0) mod p as it lifts, so the partials
-    mod p of a point at any level are read from the tables at x0*p + y0.
-    The tuple holds, per cell, f_x and f_y mod p, the row solved for
-    (0: y, where f_y is a unit mod p; 1: x, where only f_x is; 2:
-    singular), and -1/f_s mod p for that partial (0 where singular); then
-    the x and y arrays of Y_1 in cell order, which is the order of
-    `_extend_pairs` at k = 0.  The tables span the level-1 grid of p^2
-    cells, so they get the brute scan's cap on that grid.
+    xs, ys and keys x*p + y are Y_1 in increasing key order.  Per point,
+    kind is the coordinate solved for (0: y, f_y a unit mod p; 1: x, only
+    f_x is; 2: singular) and w = -1/f_s mod p for it (0 where singular).
     """
+
+    p: int
+    xs: np.ndarray
+    ys: np.ndarray
+    keys: np.ndarray
+    kind: np.ndarray
+    w: np.ndarray
+
+    def rows(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The row of each point's residue mod p, which a point keeps as it lifts."""
+        return np.searchsorted(self.keys, xs % self.p * self.p + ys % self.p)
+
+
+def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
+    """The lift tables of f: Y_1 from `_residue_zeros`, under the brute scan's cap
+    on the p^2 residues, and the partials of f mod p on Y_1 alone."""
     if p * p > BRUTE_BUDGET:
         raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
-    grid = np.arange(p, dtype=np.int64)
-    gx, gy = np.repeat(grid, p), np.tile(grid, p)
-    fx, fy = f.partial("x").horner(gx, gy, p), f.partial("y").horner(gx, gy, p)
+    xs, ys, keys = _residue_zeros(f, p)
+    fx, fy = f.partial("x").horner(xs, ys, p), f.partial("y").horner(xs, ys, p)
     kind = np.where(fy != 0, 0, np.where(fx != 0, 1, 2))
     inv = np.array([0] + [p - pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    zeros = np.flatnonzero(f.horner(gx, gy, p) == 0)
-    return fx, fy, kind, inv[np.where(kind == 0, fy, fx)], gx[zeros], gy[zeros]
+    return _LiftTables(p, xs, ys, keys, kind, inv[np.where(kind == 0, fy, fx)])
 
 
-def _residue_partials(tables, xs: np.ndarray, ys: np.ndarray, p: int):
-    """(f_x, f_y) mod p at each point, read from `_lift_tables`."""
-    cell = xs % p * p + ys % p
-    return tables[0][cell], tables[1][cell]
-
-
-def _by_solved(tables, xs: np.ndarray, ys: np.ndarray, p: int):
+def _by_solved(tables: _LiftTables, xs: np.ndarray, ys: np.ndarray):
     """The points grouped by solved coordinate: (xs, ys, w, n_y, n_smooth).
 
     First the n_y points where y is solved for, then those where x is, up
@@ -289,14 +294,14 @@ def _by_solved(tables, xs: np.ndarray, ys: np.ndarray, p: int):
     -1/f_s mod p at each smooth point, from the tables.  Points of one
     kind come back as given.
     """
-    cell = xs % p * p + ys % p
-    kind = tables[2][cell]
+    rows = tables.rows(xs, ys)
+    kind = tables.kind[rows]
     counts = np.bincount(kind, minlength=3)
     n_y, n_x = int(counts[0]), int(counts[1])
     if counts.max() < len(xs):  # mixed kinds: a stable sort groups them
         order = np.argsort(kind, kind="stable")
-        xs, ys, cell = xs[order], ys[order], cell[order]
-    return xs, ys, tables[3][cell[: n_y + n_x]], n_y, n_y + n_x
+        xs, ys, rows = xs[order], ys[order], rows[order]
+    return xs, ys, tables.w[rows[: n_y + n_x]], n_y, n_y + n_x
 
 
 def _newton_step(f: BiPoly, xs, ys, w, n_y: int, p: int, k: int, m: int, tiles: int):
@@ -349,7 +354,7 @@ def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables
     The output has at most smooth * p + singular * p^2 columns; above
     `_LIFT_LEVEL_CAP` the step raises BudgetError before it allocates.
     """
-    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys, p)
+    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys)
     bound = n_smooth * p + (len(xs) - n_smooth) * p * p
     if bound > _LIFT_LEVEL_CAP:
         raise BudgetError(
@@ -377,25 +382,24 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
     """
     if m == k:
         return np.stack([xs, ys])
-    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys, p)
+    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys)
     return _newton_step(f, xs[:n_smooth], ys[:n_smooth], w, n_y, p, k, m, 1)
 
 
 def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]:
     """Yield the solution sets mod p, p^2, ..., p^m by digit lifting.
 
-    Level 1 is read from the lift tables, which scan the p^2 residues; each
-    further level is one `_lift_step`.  At a residue where a partial of f
-    is a unit mod p each point has exactly p lifts, which is what makes the
-    counts grow by exactly p per level once every residue in play is
-    smooth.  `tables` are `_lift_tables(f, p)`, built here unless the
-    caller has them.
+    Level 1 is Y_1 from the lift tables, and each further level is one
+    `_lift_step`.  At a residue where a partial of f is a unit mod p each
+    point has exactly p lifts, which is what makes the counts grow by
+    exactly p per level once every residue in play is smooth.  `tables`
+    are `_lift_tables(f, p)`, built here unless the caller has them.
     """
     _check_level(p, m)
     _check_vector_safe(p**m)
     if tables is None:
         tables = _lift_tables(f, p)
-    xs, ys = tables[4], tables[5]
+    xs, ys = tables.xs, tables.ys
     yield PointSet(p, 1, xs, ys)
 
     for k in range(1, m):

@@ -63,7 +63,6 @@ from .counting import (
     _lift_step,
     _lift_tables,
     _lift_to,
-    _residue_partials,
     lift_levels,
 )
 from .padic import _check_level
@@ -298,8 +297,7 @@ def decay_records(
     smooth, singular = {}, {}  # level -> (xs, ys) of its smooth / singular points
     for level_set in lift_levels(f, p, top, tables=tables):
         xs, ys = level_set.xs, level_set.ys
-        fx_red, fy_red = _residue_partials(tables, xs, ys, p)
-        sing = (fx_red == 0) & (fy_red == 0)
+        sing = tables.kind[tables.rows(xs, ys)] == 2
         smooth[level_set.m] = xs[~sing], ys[~sing]
         singular[level_set.m] = xs[sing], ys[sing]
     for j in range(top, m_max):

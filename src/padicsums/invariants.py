@@ -38,12 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (
-    BRUTE_BUDGET,
     BudgetError,
     _extend_pairs,
     _int_dtype,
     _lift_tables,
-    _residue_partials,
     lift_points,
 )
 from .expsums import SumRecord
@@ -403,15 +401,13 @@ def _extend_classes(
 def _smooth_residue(h: BiPoly, p: int) -> tuple[int, int] | None:
     """A zero of h mod p at which a partial of h is a unit, or None.
 
-    By Hensel such a residue lifts to a point of h = 0 over Z_p.  The zeros
-    come from the level-1 scan of the search and the partials from the lift
-    tables, each under the brute scan's cap on the p^2 residues.
+    By Hensel such a residue lifts to a point of h = 0 over Z_p.  Y_1 and
+    the kind of each of its points come from the lift tables of h, under
+    the brute scan's cap on the p^2 residues.
     """
-    origin = np.zeros(1, dtype=np.int64)
-    xs, ys = _extend_classes((h,), origin, origin, p, 0, BRUTE_BUDGET)
-    hx, hy = _residue_partials(_lift_tables(h, p), xs, ys, p)
-    smooth = np.flatnonzero((hx != 0) | (hy != 0))
-    return (int(xs[smooth[0]]), int(ys[smooth[0]])) if len(smooth) else None
+    tables = _lift_tables(h, p)
+    smooth = np.flatnonzero(tables.kind != 2)
+    return (int(tables.xs[smooth[0]]), int(tables.ys[smooth[0]])) if len(smooth) else None
 
 
 def _y_major(h: BiPoly) -> str:
@@ -498,10 +494,10 @@ def contact_exponent(
                 "along that component of the curve"
             )
 
-    # Level 1 extends the one class mod p^0 under the brute scan's cap on
-    # its p^2 digit pairs; the budget caps deeper levels.
-    origin = np.zeros(1, dtype=np.int64)
-    cx, cy = _extend_classes((f,), origin, origin, p, 0, BRUTE_BUDGET)
+    # Level 1 is Y_1 from the lift tables, under the brute scan's cap on the
+    # p^2 residues; the budget caps deeper levels.
+    tables = _lift_tables(f, p)
+    cx, cy = tables.xs, tables.ys
     notes: list[str] = []
     if not len(cx):
         return ExponentCertificate(

@@ -141,8 +141,8 @@ def test_verify_refuses_bad_input_before_the_certificate(capsys, monkeypatch, ba
          "--budget", "0"),
         ("points", "--p", "5", "--m", "2", "--f", "y - x^2", "--method", "brute", "--budget", "-1"),
     ]
-    # a p^2 grid above the brute cap: a 7.28 TiB table allocation or a
-    # level-1 scan of 10^12 candidates, refused before either
+    # a p^2 grid above the brute cap: a residue scan of 10^12 cells, refused
+    # before it starts
     + [
         (command, "--p", "1000003", *rest)
         for command, *rest in (

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -27,7 +28,6 @@ from padicsums.counting import (
     _lift_step,
     _lift_tables,
     _lift_to,
-    _residue_partials,
 )
 from padicsums.invariants import _extend_classes
 from padicsums.polynomials import BiPoly, parse_poly
@@ -180,7 +180,7 @@ def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
     with horner_calls() as calls:
         found = pairs(brute_points(f, 3, 6))
     assert [c[:2] for c in calls] == [
-        ((1, 3, 1), (1, 1, 3)),  # the p^2 residues: x a column, y a row
+        ((3, 1), (1, 3)),  # the p^2 residues: x a column, y a row
         ((2, 243, 1), (2, 1, 243)),
         ((1, 243, 1), (1, 1, 243)),
     ]
@@ -355,13 +355,60 @@ def test_lift_step_keeps_column_order_with_mixed_residues(text, p):
 
 
 def test_level_one_comes_from_the_lift_tables():
-    # the tables' zeros of f are Y_1 in the order of the level-1 digit-pair scan
+    # the tables' Y_1 is the reference digit-pair scan of the one class mod
+    # p^0 and the full grid scan mod p, in the same (key) order
     for text, p in [("x^3 + y^3 - 1", 7), ("y^2 - x^3", 5), ("x^2 - 2", 5), ("3*x*y + 3", 3)]:
         f = parse_poly(text)
         origin = np.zeros(1, dtype=np.int64)
-        want = _extend_pairs((f,), origin, origin, p, 0)
+        want = list(zip(*(c.tolist() for c in extend_pairs((f,), origin, origin, p, 0))))
         tables = _lift_tables(f, p)
-        assert tables[4].tolist() == want[0].tolist() and tables[5].tolist() == want[1].tolist()
+        assert pairs(tables) == want == pairs(full_grid_points(f, p, 1))
+        assert tables.keys.tolist() == [x * p + y for x, y in want]
+
+
+@pytest.mark.parametrize(
+    "text,p,kinds",
+    # kind 0: y solved for, 1: x only (3 | y on x - y^2, (4, 0) on the node),
+    # 2: singular ((0, 0) on the cusp and the node, every residue of 3*x*y + 3)
+    [("x - y^2", 3, {0, 1}), ("y^2 - x^3", 5, {0, 2}), ("x^3 + y^3 - 1", 7, {0, 1}),
+     ("y^2 - x^3 - x^2", 5, {0, 1, 2}), ("3*x*y + 3", 3, {2}), ("x*y - 1", 11, {0})],
+)
+def test_lift_table_kinds_and_inverses_match_the_partials(text, p, kinds):
+    f = parse_poly(text)
+    tables = _lift_tables(f, p)
+    assert len(tables.xs) == len(full_grid_points(f, p, 1))
+    assert set(tables.kind.tolist()) == kinds
+    rows = zip(*(a.tolist() for a in (tables.xs, tables.ys, tables.kind, tables.w)))
+    for x, y, kind, w in rows:
+        fx, fy = f.partial("x").evaluate(x, y) % p, f.partial("y").evaluate(x, y) % p
+        assert kind == (0 if fy else 1 if fx else 2), (x, y)
+        solved = (fy, fx, None)[kind]
+        assert w == (0 if solved is None else -pow(solved, -1, p) % p), (x, y)
+
+
+def test_lift_tables_scan_the_residues_in_blocks():
+    # p = 1009: 1,018,081 residues, about 7.8 blocks; the partials are
+    # evaluated on the 1009 points of Y_1 alone
+    f = parse_poly("y - x^2")
+    with horner_calls() as calls:
+        tables = _lift_tables(f, 1009)
+    assert len(tables.xs) == 1009
+    assert max(cells(c) for c in calls) <= _GRID_BLOCK
+    assert sum(cells(c) for c in calls) == 1009**2 + 2 * 1009
+
+
+def test_lift_points_at_a_large_prime_keeps_no_grid_in_memory():
+    # one int64 array over the 1,018,081 residues mod 1009 takes 7.8 MiB, so
+    # a lower peak shows that no array of p^2 cells is held
+    f = parse_poly("y - x^2")
+    tracemalloc.start()
+    try:
+        got = lift_points(f, 1009, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 1009
+    assert peak < 8 * 2**20
 
 
 def test_lift_level_cap_refuses_before_any_lift(monkeypatch):
@@ -401,7 +448,7 @@ def zero_digit_lifts(f, xs, ys, p, k, m, tables):
     """m - k steps of `_lift_step`, each keeping the lift whose free digit is 0."""
     for j in range(k, m):
         xs, ys = _lift_step(f, xs, ys, p, j, tables)
-        _, fy_red = _residue_partials(tables, xs, ys, p)
+        fy_red = f.partial("y").horner(xs, ys, p)
         free = np.where(fy_red != 0, xs, ys)  # x when y is solved for, else y
         xs, ys = xs[free < p**j], ys[free < p**j]
     return xs, ys
@@ -589,7 +636,7 @@ def test_a_singular_point_has_all_or_none_of_its_lifts(p, m):
     tables = _lift_tables(f, p)
     for k in range(1, m):
         level, above = brute_points(f, p, k), brute_points(f, p, k + 1)
-        fx_red, fy_red = _residue_partials(tables, level.xs, level.ys, p)
+        fx_red, fy_red = (f.partial(v).horner(level.xs, level.ys, p) for v in "xy")
         singular = (fx_red == 0) & (fy_red == 0)
         assert singular.any()
         lifts = {}
