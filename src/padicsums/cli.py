@@ -45,6 +45,7 @@ import sys
 from .counting import (
     BRUTE_BUDGET,
     BudgetError,
+    _check_vector_safe,
     brute_points,
     lift_levels,
     lift_points,
@@ -116,18 +117,18 @@ _OPTIONS = {
 }
 
 
-def _parse_m_range(text: str) -> list[int]:
+def _parse_m_range(text: str) -> range:
     """Either a single level '4' or an inclusive range '3..8'."""
     if ".." in text:
         lo_text, _, hi_text = text.partition("..")
         lo, hi = int(lo_text), int(hi_text)
         if lo < 1 or hi < lo:
             raise ValueError(f"bad level range {text!r}")
-        return list(range(lo, hi + 1))
+        return range(lo, hi + 1)
     m = int(text)
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
-    return [m]
+    return range(m, m + 1)
 
 
 def _load_config(path: str) -> dict[str, list[str]]:
@@ -451,6 +452,8 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"tolerance must be finite, got {args.tolerance}")
         if getattr(args, "budget", None) is not None and args.budget < 1:
             raise ValueError(f"budget must be >= 1, got {args.budget}")
+        if args.command in ("points", "sum", "verify"):  # reduce mod p^m in int64
+            _check_vector_safe(args.p, _parse_m_range(args.m)[-1])
         return args.func(args)
     except SystemExit as exc:
         # argparse uses 2 for usage errors already; normalize None to 0

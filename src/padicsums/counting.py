@@ -19,8 +19,8 @@ smooth points as given.  One level of the lifting route is `_lift_step`:
 that step at m = k + 1 on the smooth points, each block laid out (p, n)
 so that the free digit takes 0..p-1 by broadcasting, and digit pairs at
 the singular ones.  It starts from any points of Y_k: the stationary-phase
-sums of the expsums module use it to lift the singular subtrees, and
-`_lift_to` to lift one representative per smooth class to Y_m.  Each
+sums of the expsums module use it to climb their chain of critical classes
+and the singular subtrees, and `_lift_to` to take each class to Y_m.  Each
 level's size is bounded before it is allocated, smooth * p + singular *
 p^2 points, and a level above `_LIFT_LEVEL_CAP` is refused with BudgetError.
 
@@ -68,6 +68,7 @@ _PAIR_BLOCK = 2**14
 _GRID_BLOCK = 2**17
 # Points one lift level may hold (512 MB as a (2, n) int64 array).
 _LIFT_LEVEL_CAP = 2**25
+_SINGULAR = 2  # the lift tables' kind of a residue where f_x = f_y = 0 mod p
 
 
 class BudgetError(RuntimeError):
@@ -91,10 +92,10 @@ class PointSet:
 
     def __post_init__(self):
         _check_level(self.p, self.m)
+        _check_vector_safe(self.p, self.m)
         q = self.p**self.m
         xs = np.asarray(self.xs, dtype=np.int64)
         ys = np.asarray(self.ys, dtype=np.int64)
-        _check_vector_safe(q)
         for arr in (xs, ys):
             # read as unsigned, a negative int64 is at least 2^63 > q
             if len(arr) and arr.view(np.uint64).max() >= q:
@@ -125,10 +126,13 @@ def _int_dtype(modulus: int):
     return np.int64 if modulus <= _VECTOR_MODULUS_CAP else object
 
 
-def _check_vector_safe(q: int) -> None:
-    if q > _VECTOR_MODULUS_CAP:
+def _check_vector_safe(p: int, m: int) -> None:
+    """Refuse (BudgetError) p^m above the int64 evaluation cap before p^m is
+    computed, which alone stalls at m = 10^8: |p|^32 exceeds the cap when
+    |p| >= 2, so at most 32 factors of p decide.  The message names p^m."""
+    if abs(p) ** min(m, 32) > _VECTOR_MODULUS_CAP:
         raise BudgetError(
-            f"modulus {q} exceeds the exact int64 evaluation cap {_VECTOR_MODULUS_CAP}"
+            f"modulus {p}^{m} exceeds the exact int64 evaluation cap {_VECTOR_MODULUS_CAP}"
         )
 
 
@@ -241,12 +245,12 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
     which halves the cost of each multiply-add, else int64.
     """
     _check_level(p, m)
+    _check_vector_safe(p, m)
     q = p**m
     if q * q > budget:
         raise BudgetError(
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
-    _check_vector_safe(q)
     xs, ys, _ = _residue_zeros(f, p)
     if m > 1:
         dtype = np.int32 if q * q < 2**31 else np.int64
@@ -259,7 +263,7 @@ class _LiftTables(NamedTuple):
 
     xs, ys and keys x*p + y are Y_1 in increasing key order.  Per point,
     kind is the coordinate solved for (0: y, f_y a unit mod p; 1: x, only
-    f_x is; 2: singular) and w = -1/f_s mod p for it (0 where singular).
+    f_x is; else `_SINGULAR`) and w = -1/f_s mod p for it (0 if singular).
     """
 
     p: int
@@ -269,10 +273,6 @@ class _LiftTables(NamedTuple):
     kind: np.ndarray
     w: np.ndarray
 
-    def rows(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """The row of each point's residue mod p, which a point keeps as it lifts."""
-        return np.searchsorted(self.keys, xs % self.p * self.p + ys % self.p)
-
 
 def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
     """The lift tables of f: Y_1 from `_residue_zeros`, under the brute scan's cap
@@ -281,7 +281,7 @@ def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
         raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
     xs, ys, keys = _residue_zeros(f, p)
     fx, fy = f.partial("x").horner(xs, ys, p), f.partial("y").horner(xs, ys, p)
-    kind = np.where(fy != 0, 0, np.where(fx != 0, 1, 2))
+    kind = np.where(fy != 0, 0, np.where(fx != 0, 1, _SINGULAR))
     inv = np.array([0] + [p - pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
     return _LiftTables(p, xs, ys, keys, kind, inv[np.where(kind == 0, fy, fx)])
 
@@ -294,9 +294,10 @@ def _by_solved(tables: _LiftTables, xs: np.ndarray, ys: np.ndarray):
     -1/f_s mod p at each smooth point, from the tables.  Points of one
     kind come back as given.
     """
-    rows = tables.rows(xs, ys)
+    # a point keeps its residue mod p, hence its row of the tables, as it lifts
+    rows = np.searchsorted(tables.keys, xs % tables.p * tables.p + ys % tables.p)
     kind = tables.kind[rows]
-    counts = np.bincount(kind, minlength=3)
+    counts = np.bincount(kind, minlength=_SINGULAR + 1)
     n_y, n_x = int(counts[0]), int(counts[1])
     if counts.max() < len(xs):  # mixed kinds: a stable sort groups them
         order = np.argsort(kind, kind="stable")
@@ -386,19 +387,17 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
     return _newton_step(f, xs[:n_smooth], ys[:n_smooth], w, n_y, p, k, m, 1)
 
 
-def lift_levels(f: BiPoly, p: int, m: int, *, tables=None) -> Iterator[PointSet]:
+def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     """Yield the solution sets mod p, p^2, ..., p^m by digit lifting.
 
     Level 1 is Y_1 from the lift tables, and each further level is one
     `_lift_step`.  At a residue where a partial of f is a unit mod p each
     point has exactly p lifts, which is what makes the counts grow by
-    exactly p per level once every residue in play is smooth.  `tables`
-    are `_lift_tables(f, p)`, built here unless the caller has them.
+    exactly p per level once every residue in play is smooth.
     """
     _check_level(p, m)
-    _check_vector_safe(p**m)
-    if tables is None:
-        tables = _lift_tables(f, p)
+    _check_vector_safe(p, m)
+    tables = _lift_tables(f, p)
     xs, ys = tables.xs, tables.ys
     yield PointSet(p, 1, xs, ys)
 

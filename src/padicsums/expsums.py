@@ -17,8 +17,14 @@ running over Z/p^r and c = -J/f_y (or J/f_x), J = f_x g_y - f_y g_x.
 Hence C adds p^r exp(2*pi*i * u*g(P*)/p^m) when J = 0 mod p^r on C, and
 exactly 0 otherwise; J mod p^r is fixed by C, because r <= k.  Classes
 where both partials vanish mod p have no such branch: their points of
-Y_m are enumerated and summed one by one.  A one-variable sum is the
-curve y = f(x) with weight y, where J = -f' and every class is smooth:
+Y_m are enumerated and summed one by one.  J has integer coefficients,
+so J mod p^(k-1) is fixed by a class's reduction mod p^(k-1): the
+classes kept for m = 2k - 1 are the p lifts of each class kept for
+m = 2k - 2, and `decay_records` climbs one chain of J-critical classes
+from the smooth points of Y_1.  A class's lift to Y_2k reduces mod
+p^(2k-1) to its lift to Y_(2k-1), so one Newton step per k serves both
+m = 2k - 1 and m = 2k.  A one-variable sum is the curve y = f(x) with
+weight y, where J = -f' and every class is smooth:
 
     S_m = p^r * sum over a mod p^k with f'(a) = 0 mod p^r of
           exp(2*pi*i * u*f(a)/p^m),
@@ -58,12 +64,12 @@ from typing import Iterable
 import numpy as np
 
 from .counting import (
+    _SINGULAR,
     PointSet,
     _check_vector_safe,
     _lift_step,
     _lift_tables,
     _lift_to,
-    lift_levels,
 )
 from .padic import _check_level
 from .polynomials import BiPoly
@@ -175,8 +181,8 @@ def sum_onevar(f_one: BiPoly, phase: PhaseSpec) -> SumRecord:
     """
     if f_one.uses_y():
         raise ValueError("one-variable sums need a polynomial in x only")
+    _check_vector_safe(phase.p, phase.m)
     q = phase.denominator
-    _check_vector_safe(q)
     k = (phase.m + 1) // 2
     r = phase.m - k
     xs = np.arange(phase.p**k, dtype=np.int64)
@@ -272,60 +278,50 @@ def decay_records(
 ) -> list[SumRecord]:
     """One record per level in m_range, by the stationary-phase rule.
 
-    The curve is enumerated only up to K = ceil(max m / 2).  For each m,
-    with k = ceil(m/2) and r = m - k, a smooth class of Y_k is kept when
-    J = f_x g_y - f_y g_x vanishes on it mod p^r; one Newton step lifts
-    its representative to the point P* of Y_m with free digits 0
-    (`counting._lift_to`), which adds p^r terms of phase g(P*).  The
-    singular points of Y_m (both partials 0 mod p) are lifted and summed
-    directly.  point_count is (smooth classes of Y_k) * p^r plus the
-    singular points.
+    The chain of classes (module docstring) starts at the smooth points of
+    Y_1; level k + 1 is the `_lift_step` of level k's classes with J = 0
+    mod p^k.  At each k with a wanted level, one `_lift_to` takes them to
+    Y_min(2k, max m) with free digits 0; m = 1 sums them as given.  The
+    singular points are lifted level by level from Y_1 before any sum.
+    point_count is (smooth points of Y_1) * p^(m-1) plus the singular points.
     """
-    wanted = sorted(set(m_range))
+    wanted = set(m_range)
     if not wanted:
         return []
-    if wanted[0] < 1:
+    if min(wanted) < 1:
         raise ValueError("levels must be >= 1")
-    m_max = wanted[-1]
+    m_max = max(wanted)
+    # Phases are reduced mod p^m in int64, though no class above ceil(m/2) is lifted.
+    _check_vector_safe(p, m_max)
     PhaseSpec(p, m_max, u)  # p prime and u a unit, before any work
-    # Phases are reduced mod p^m in int64, though no level above K is lifted.
-    _check_vector_safe(p**m_max)
-    top = (m_max + 1) // 2
     tables = _lift_tables(f, p)
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
-
-    smooth, singular = {}, {}  # level -> (xs, ys) of its smooth / singular points
-    for level_set in lift_levels(f, p, top, tables=tables):
-        xs, ys = level_set.xs, level_set.ys
-        sing = tables.kind[tables.rows(xs, ys)] == 2
-        smooth[level_set.m] = xs[~sing], ys[~sing]
-        singular[level_set.m] = xs[sing], ys[sing]
-    for j in range(top, m_max):
-        sx, sy = singular[j]
-        singular[j + 1] = tuple(_lift_step(f, sx, sy, p, j, tables)) if len(sx) else (sx, sy)
+    singular = tables.kind == _SINGULAR
+    classes = np.stack([tables.xs[~singular], tables.ys[~singular]])  # the chain at level 1
+    n_smooth = classes.shape[1]
+    held, sx, sy = {}, tables.xs[singular], tables.ys[singular]  # level -> singular points
+    for m in range(1, m_max + 1):
+        if m in wanted:
+            held[m] = sx, sy
+        if m < m_max and len(sx):
+            sx, sy = _lift_step(f, sx, sy, p, m, tables)
 
     records = []
-    for m in wanted:
-        k = (m + 1) // 2
-        r = m - k
-        xs, ys = smooth[k]
-        keep = jac.horner(xs, ys, p**r) == 0
-        rx, ry = _lift_to(f, xs[keep], ys[keep], p, k, m, tables)
-        sx, sy = singular[m]
-        phase = PhaseSpec(p, m, u)
-        q = phase.denominator
-        value = p**r * _char_sum(_phase_values(g, rx, ry, phase), q) + _char_sum(
-            _phase_values(g, sx, sy, phase), q
-        )
-        records.append(
-            SumRecord(
-                p=p,
-                m=m,
-                u=phase.u,
-                f=str(f),
-                g=str(g),
-                value=value,
-                point_count=len(xs) * p**r + len(sx),
-            )
-        )
+    for k in range(1, (m_max + 3) // 2):
+        levels = [m for m in (2 * k - 1, 2 * k) if m in wanted]
+        pts = _lift_to(f, *classes, p, k, min(2 * k, m_max), tables) if levels else classes
+        critical = jac.horner(*pts, p**k) == 0
+        for m in levels:
+            sx, sy = held.pop(m)
+            kept = classes if m == 1 else pts[:, critical] if m == 2 * k else pts
+            phase = PhaseSpec(p, m, u)
+            q = phase.denominator
+            value = p ** (m - k) * _char_sum(_phase_values(g, *kept, phase), q)
+            if len(sx):
+                value += _char_sum(_phase_values(g, sx, sy, phase), q)
+            count = n_smooth * p ** (m - 1) + len(sx)
+            records.append(SumRecord(p, m, phase.u, str(f), str(g), value, count))
+        if 2 * k < m_max:
+            chain = PointSet(p, k + 1, *_lift_step(f, *(pts[:, critical] % p**k), p, k, tables))
+            classes = np.stack([chain.xs, chain.ys])
     return records

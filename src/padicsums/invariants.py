@@ -38,6 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .counting import (
+    _SINGULAR,
     BudgetError,
     _extend_pairs,
     _int_dtype,
@@ -406,7 +407,7 @@ def _smooth_residue(h: BiPoly, p: int) -> tuple[int, int] | None:
     the brute scan's cap on the p^2 residues.
     """
     tables = _lift_tables(h, p)
-    smooth = np.flatnonzero(tables.kind != 2)
+    smooth = np.flatnonzero(tables.kind != _SINGULAR)
     return (int(tables.xs[smooth[0]]), int(tables.ys[smooth[0]])) if len(smooth) else None
 
 

@@ -382,6 +382,25 @@ def test_param_restricted_sum_over_the_cap_exits_two(capsys):
     assert "exceeds the exact int64 evaluation cap" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("points", "--p", "5", "--m", "1000000", "--f", "y - x^2"),
+        ("sum", "--p", "5", "--m", "1000000", "--f", "y - x^2", "--g", "y", "--method", "lift"),
+        ("sum", "--onevar", "--p", "5", "--m", "1000000", "--f", "x^3"),
+        ("verify", "--p", "5", "--m", "3..1000000", "--f", "y - x^2", "--g", "y"),
+        ("sum", "--p", "5", "--m", "1..1000000", "--f", "y - x^2", "--g", "y"),
+    ],
+    ids=["points", "sum-lift", "sum-onevar", "verify", "sum"],
+)
+def test_a_level_above_the_int64_cap_is_refused_before_any_work(capsys, monkeypatch, argv):
+    # 5^1000000 has 698,971 digits: the refusal names it as p^m and never computes it
+    monkeypatch.setattr(cli, "_certificate", lambda args: pytest.fail("searched"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: modulus 5^1000000 exceeds the exact int64 evaluation cap 2147483648\n"
+
+
 def test_sum_brute_method_agrees_with_lift(capsys):
     args = ("--p", "3", "--m", "2", "--f", "y^2 - x^3", "--g", "x + y")
     _, out_lift, _ = run(capsys, "sum", *args, "--method", "lift")

@@ -10,6 +10,7 @@ import cmath
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,7 +436,7 @@ def test_decay_records_validation(monkeypatch):
     with pytest.raises(ValueError):
         decay_records(f, g, 3, [0, 1])
     # p and u are PhaseSpec's checks, made before anything is enumerated
-    monkeypatch.setattr(expsums, "lift_levels", lambda *a, **k: pytest.fail("enumerated"))
+    monkeypatch.setattr(expsums, "_lift_tables", lambda *a, **k: pytest.fail("enumerated"))
     for p in (0, 4, -3):
         with pytest.raises(ValueError, match="p must be prime"):
             decay_records(f, g, p, [1, 2])
@@ -481,9 +482,9 @@ def test_decay_records_match_the_lift_oracle(f_terms, g_terms, p, u, data):
     f, g = BiPoly(f_terms), BiPoly(g_terms)
     if u % p == 0:
         u += 1
-    lo = data.draw(st.integers(min_value=1, max_value=MAX_LEVEL[p]))
-    hi = data.draw(st.integers(min_value=lo, max_value=MAX_LEVEL[p]))
-    levels = list(range(lo, hi + 1))
+    # any subset of levels: the chain of classes also climbs through the k
+    # whose levels 2k - 1 and 2k are not asked for
+    levels = sorted(data.draw(st.sets(st.integers(1, MAX_LEVEL[p]), min_size=1)))
     assert_records_agree(decay_records(f, g, p, levels, u), lift_oracle_records(f, g, p, levels, u))
 
 
@@ -509,38 +510,52 @@ def test_decay_records_match_the_lift_oracle_where_the_newton_inverse_doubles(we
     assert_records_agree(decay_records(f, g, p, levels, 2), lift_oracle_records(f, g, p, levels, 2))
 
 
-def test_decay_records_lift_point_by_point_only_inside_lift_levels(monkeypatch):
-    # kept classes reach Y_m by one Newton step, and a curve with no
-    # singular points has no subtree to lift
+def test_decay_records_lift_each_k_to_its_top_level_once(monkeypatch):
+    # the lift of a class to Y_2k, reduced mod p^(2k-1), is its lift to
+    # Y_(2k-1): one Newton step per k with a wanted level, none at k = 1 here
     calls = []
-    real = counting._lift_step
+    real = counting._lift_to
 
-    def spy(caller):
-        def step(*args):
-            calls.append(caller)
-            return real(*args)
+    def spy(f, xs, ys, p, k, m, tables):
+        calls.append((k, m))
+        return real(f, xs, ys, p, k, m, tables)
 
-        return step
-
-    monkeypatch.setattr(counting, "_lift_step", spy("lift_levels"))
-    monkeypatch.setattr(expsums, "_lift_step", spy("decay_records"))
+    monkeypatch.setattr(expsums, "_lift_to", spy)
     decay_records(parse_poly("y - x^2"), parse_poly("y"), 5, range(3, 8))
-    assert calls == ["lift_levels"] * 3  # Y_2, Y_3, Y_4 = Y_ceil(7/2)
+    assert calls == [(2, 4), (3, 6), (4, 7)]
 
 
 def test_decay_records_enumerate_only_up_to_half_the_top_level(monkeypatch):
-    seen = []
-
-    def recording_lift_levels(f, p, m, **kwargs):
-        for level_set in lift_levels(f, p, m, **kwargs):
-            seen.append(level_set.m)
-            yield level_set
-
-    monkeypatch.setattr(expsums, "lift_levels", recording_lift_levels)
+    # J = -2x on y - x^2 with weight y: one class of each level has
+    # J = 0 mod p^k, so each step of the chain lifts one class
     f, g = parse_poly("y - x^2"), parse_poly("y")
+    jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
+    sizes = []
+    real = counting._lift_step
+
+    def spy(f, xs, ys, p, k, tables):
+        assert (jac.horner(xs, ys, p**k) == 0).all()
+        sizes.append((k, len(xs)))
+        return real(f, xs, ys, p, k, tables)
+
+    monkeypatch.setattr(expsums, "_lift_step", spy)
     records = decay_records(f, g, 5, range(3, 10))
-    assert max(seen) == 5  # ceil(9 / 2)
+    assert sizes == [(1, 1), (2, 1), (3, 1), (4, 1)]  # up to Y_5 = Y_ceil(9/2)
     assert [r.point_count for r in records] == [5**m for m in range(3, 10)]
+
+
+def test_decay_records_at_a_large_prime_keep_no_level_in_memory():
+    # Y_2 of y - x^2 holds 1009^2 points, but only the class x = 0 mod 1009
+    # is critical, so the chain holds 1009 classes at level 2
+    f, g = parse_poly("y - x^2"), parse_poly("y")
+    tracemalloc.start()
+    try:
+        records = decay_records(f, g, 1009, [1, 2, 3])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [r.point_count for r in records] == [1009, 1009**2, 1009**3]
+    assert peak < 8 * 2**20
 
 
 def test_json_round_trip_and_determinism(capsys):
