@@ -4,8 +4,8 @@ Two independent routes to the same set: `brute_points` decides every cell
 of the (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using
 the one-step Hensel formula at residues where a partial derivative is a
 unit and digit pairs elsewhere.  The brute route is the oracle for the
-lifting route: they share the evaluator (`BiPoly.horner`) and Y_1, from
-the one scan of the p^2 residues (`_residue_zeros`), not the enumeration.
+lifting route: they share the evaluator (`BiPoly.horner`) and Y_1, kept on
+the polynomial after one scan of the p^2 residues, not the enumeration.
 As f(x, y) = f(x mod p, y mod p) mod p for integer coefficients, every
 point of Y_m lies above one of Y_1: the grid scan evaluates f mod p^m only
 on the cells above Y_1, about a 1/p share of the grid, and a lifted point
@@ -33,9 +33,9 @@ A `PointSet` orders and deduplicates its points through one int64 key per
 point, x*p^m + y, whose order is exactly the lexicographic order of (x, y).
 
 Point sets and lifting stay in int64; guards cap the modulus so that every
-intermediate product provably fits.  Both scans go in blocks of about 2^17
-cells, so no array of p^2 cells outlives a block; the brute grid is int32
-when q^2 < 2^31, which holds under the default budget.
+intermediate product provably fits.  One grid scanner, `_grid_zeros`, finds
+Y_1 and the brute grid above it in blocks of about 2^17 cells, so no array
+of p^2 cells outlives a block, in int32 when q^2 < 2^31 (the default budget).
 
 The module returns point sets and writes nothing; the command line front
 end, `padicsums.cli`, owns the text format of `points`.
@@ -180,28 +180,6 @@ def _extend_pairs(polys, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     return np.concatenate(found, axis=1)
 
 
-def _residue_zeros(f: BiPoly, p: int):
-    """Y_1, the zeros of f mod p: int64 arrays x, y and keys x*p + y, keys increasing.
-
-    The one scan of the p^2 residues: x a column and y a row, in int32 when
-    p^2 < 2^31, one run of whole rows (about `_GRID_BLOCK` cells) per
-    `BiPoly.horner` call.  A hit's flat index in a run from row x0, plus
-    x0*p, is its key.
-    """
-    dtype = np.int32 if p * p < 2**31 else np.int64
-    rows = max(1, _GRID_BLOCK // p)
-    ys = np.arange(p, dtype=dtype)[None, :]
-    hit, keys = np.empty((min(rows, p), p), dtype=bool), []
-    for x0 in range(0, p, rows):
-        xs = np.arange(x0, min(x0 + rows, p), dtype=dtype)[:, None]
-        # f mod p free of y (or x) gives one column (or row): `out` widens it
-        np.equal(f.horner(xs, ys, p), 0, out=hit[: len(xs)])
-        keys.append(np.flatnonzero(hit[: len(xs)]) + x0 * p)
-    keys = np.concatenate(keys)
-    xs, ys = np.divmod(keys, p)
-    return xs, ys, keys
-
-
 def _grid_zeros(f: BiPoly, x0s: np.ndarray, y0s: np.ndarray, step: int, n: int, modulus: int):
     """Zeros mod `modulus` of f on the sub-grids (x0 + step i, y0 + step j), i, j < n.
 
@@ -222,27 +200,44 @@ def _grid_zeros(f: BiPoly, x0s: np.ndarray, y0s: np.ndarray, step: int, n: int, 
         by = y0s[start : start + span, None, None]
         for i0 in range(0, n, rows):
             di = step * np.arange(i0, min(i0 + rows, n), dtype=x0s.dtype)[:, None]
-            # f mod modulus free of y (or x) gives one column (or row): widen the mask
-            value = f.horner(bx + di, by + js, modulus)
-            hit = np.flatnonzero(np.broadcast_to(value == 0, (len(bx), len(di), n)))
-            res, cell = np.divmod(hit, len(di) * n)  # np.nonzero of a 3-d mask costs ~7x
-            i, j = np.divmod(cell, n)
+            shape = (len(bx), len(di), n)
+            hit = f.horner(bx + di, by + js, modulus) == 0
+            if hit.shape != shape:  # f mod modulus free of y (or x): one column (or row)
+                hit = np.broadcast_to(hit, shape)
+            res, i, j = np.unravel_index(np.flatnonzero(hit), shape)  # np.nonzero is 10x slower
             found_x.append(bx[res, 0, 0] + di[i, 0])
             found_y.append(by[res, 0, 0] + js[j])
     return np.concatenate(found_x), np.concatenate(found_y)
+
+
+def _residue_zeros(f: BiPoly, p: int):
+    """Y_1, the zeros of f mod p, as the rows x, y of a read-only int64 array.
+
+    `_grid_zeros` scans the one p x p sub-grid at the origin, in int32 when
+    p^2 < 2^31, once per polynomial and prime; x*p + y increases along the
+    rows, and the array is kept on f, in a dict put in its `_residues` slot.
+    """
+    kept = getattr(f, "_residues", None)
+    if kept is None:
+        kept = f._residues = {}
+    if p not in kept:
+        origin = np.zeros(1, dtype=np.int32 if p * p < 2**31 else np.int64)
+        kept[p] = np.array(_grid_zeros(f, origin, origin, 1, p, p), dtype=np.int64)
+        kept[p].flags.writeable = False
+    return kept[p]
 
 
 def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
     """Grid oracle: decide every pair in (Z/p^m)^2, in two exact scans.
 
     f has integer coefficients, so f(x, y) = f(x mod p, y mod p) mod p: a
-    cell can vanish mod q = p^m only above a point of Y_1.  The first scan,
-    `_residue_zeros`, gives Y_1 (the answer at m = 1).  The second,
-    `_grid_zeros`, evaluates f mod q on the q^2/p^2 cells above each point
-    of Y_1, and on no other cell: every cell it skips is a proven non-zero,
-    so the scan still decides all q^2 cells, and the budget caps that grid.
-    It runs in int32 when q^2 < 2^31 (no Horner value exceeds q^2 - q),
-    which halves the cost of each multiply-add, else int64.
+    cell can vanish mod q = p^m only above a point of Y_1, the answer at
+    m = 1, which `_residue_zeros` scans once per polynomial and prime, under
+    no budget.  `_grid_zeros` evaluates f mod q on the q^2/p^2 cells above
+    each point of Y_1 and on no other cell: every cell it skips is a proven
+    non-zero, so the scan still decides all q^2 cells, and the budget caps
+    that grid.  It runs in int32 when q^2 < 2^31 (no Horner value exceeds
+    q^2 - q), which halves the cost of each multiply-add, else int64.
     """
     _check_level(p, m)
     _check_vector_safe(p, m)
@@ -251,7 +246,7 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
         raise BudgetError(
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
-    xs, ys, _ = _residue_zeros(f, p)
+    xs, ys = _residue_zeros(f, p)
     if m > 1:
         dtype = np.int32 if q * q < 2**31 else np.int64
         xs, ys = _grid_zeros(f, xs.astype(dtype), ys.astype(dtype), p, q // p, q)
@@ -279,11 +274,11 @@ def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
     on the p^2 residues, and the partials of f mod p on Y_1 alone."""
     if p * p > BRUTE_BUDGET:
         raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
-    xs, ys, keys = _residue_zeros(f, p)
+    xs, ys = _residue_zeros(f, p)
     fx, fy = f.partial("x").horner(xs, ys, p), f.partial("y").horner(xs, ys, p)
     kind = np.where(fy != 0, 0, np.where(fx != 0, 1, _SINGULAR))
     inv = np.array([0] + [p - pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    return _LiftTables(p, xs, ys, keys, kind, inv[np.where(kind == 0, fy, fx)])
+    return _LiftTables(p, xs, ys, xs * p + ys, kind, inv[np.where(kind == 0, fy, fx)])
 
 
 def _by_solved(tables: _LiftTables, xs: np.ndarray, ys: np.ndarray):

@@ -58,6 +58,7 @@ digits there.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -95,6 +96,9 @@ class PhaseSpec:
 
     def __post_init__(self):
         _check_level(self.p, self.m, "phase level")
+        # every sum divides by p^m as a float; p^1024 tops it for any p >= 2
+        if self.p ** min(self.m, 1024) > sys.float_info.max:
+            raise ValueError(f"modulus {self.p}^{self.m} exceeds the largest float")
         if self.u % self.p == 0:
             raise ValueError(
                 f"u = {self.u} is divisible by p = {self.p}; "

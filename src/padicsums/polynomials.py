@@ -80,11 +80,12 @@ class BiPoly:
     """Polynomial in x, y over Z, stored as a map (deg_x, deg_y) -> coeff.
 
     Nothing assigns or mutates `terms` after __init__, so each partial
-    derivative, and the coefficient rows of `horner`, are computed once
-    and kept on the instance.
+    derivative, the coefficient rows of `horner` and, per prime p, the
+    zeros mod p (read-only arrays in `_residues`, set on the first scan by
+    `counting._residue_zeros`) are computed once and kept on the instance.
     """
 
-    __slots__ = ("terms", "_partials", "_rows")
+    __slots__ = ("terms", "_partials", "_rows", "_residues")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}

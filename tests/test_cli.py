@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,36 @@ def test_a_level_above_the_int64_cap_is_refused_before_any_work(capsys, monkeypa
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == "error: modulus 5^1000000 exceeds the exact int64 evaluation cap 2147483648\n"
+
+
+PARAM = ("param", "--p", "5", "--f", "y - x^2", "--at", "0,0", "--order", "8", "--g", "y")
+
+
+@pytest.mark.parametrize(
+    "argv, m",
+    [
+        (("--precision", "40", "--m", "100000000", "--l", "1"), 100000000),
+        (("--precision", "500", "--m", "442", "--l", "441"), 442),
+        (("--precision", "500", "--m", "500", "--l", "500"), 500),
+    ],
+    ids=["m=10^8", "m=442", "l=m=500"],
+)
+def test_a_level_above_the_largest_float_is_refused_at_once(capsys, argv, m):
+    # param keeps exact phases past the int64 cap, but every sum divides by
+    # p^m as a float: 5^442 > 1.8e308 used to fail there (exit 5), and
+    # 5^100000000 took longer than 10 s before any check
+    start = time.perf_counter()
+    code, out, err = run(capsys, *PARAM, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", f"error: modulus 5^{m} exceeds the largest float\n")
+
+
+def test_param_at_the_largest_float_still_sums(capsys):
+    # 5^441 < 1.8e308: the sum runs, over 5^(441 - 440) values of t
+    code, out, err = run(capsys, *PARAM, "--precision", "500", "--m", "441", "--l", "440")
+    assert (code, err) == (0, "")
+    record = json.loads(out)["sum"]
+    assert (record["m"], record["point_count"]) == (441, 5)
 
 
 def test_sum_brute_method_agrees_with_lift(capsys):

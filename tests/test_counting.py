@@ -1,5 +1,6 @@
 """Point enumeration: brute grid scan vs digit-lifting, growth, the points text."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -180,7 +181,7 @@ def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
     with horner_calls() as calls:
         found = pairs(brute_points(f, 3, 6))
     assert [c[:2] for c in calls] == [
-        ((3, 1), (1, 3)),  # the p^2 residues: x a column, y a row
+        ((1, 3, 1), (1, 1, 3)),  # the p^2 residues: the one sub-grid at the origin
         ((2, 243, 1), (2, 1, 243)),
         ((1, 243, 1), (1, 1, 243)),
     ]
@@ -409,6 +410,75 @@ def test_lift_points_at_a_large_prime_keeps_no_grid_in_memory():
         tracemalloc.stop()
     assert len(got) == 1009
     assert peak < 8 * 2**20
+
+
+@contextlib.contextmanager
+def residue_scans():
+    """Count, per modulus p, the `BiPoly.horner` calls over all p^2 residues mod p."""
+    scans = collections.Counter()
+    horner = BiPoly.horner
+
+    def spy(self, x, y, modulus=None):
+        if modulus is not None and np.broadcast(x, y).size == modulus**2:
+            scans[modulus] += 1
+        return horner(self, x, y, modulus)
+
+    with mock.patch.object(BiPoly, "horner", spy):
+        yield scans
+
+
+def test_verify_scans_the_residues_once():
+    # decay_records and contact_exponent both read Y_1 of the one parsed f
+    with residue_scans() as scans, contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["verify", "--p", "5", "--m", "3..8", "--f", "y - x^2", "--g", "y"])
+    assert (code, scans[5]) == (0, 1)
+
+
+def test_brute_and_lift_on_one_polynomial_scan_the_residues_once():
+    f = parse_poly("x^3 + y^3 - 1")
+    with residue_scans() as scans:
+        brute = brute_points(f, 7, 3)
+        assert scans[7] == 1
+        lift = lift_points(f, 7, 3)
+        assert scans[7] == 1
+        assert lift.same_points(brute)
+        # another prime is another scan, once
+        assert lift_points(f, 5, 2).same_points(brute_points(f, 5, 2))
+        assert scans == {7: 1, 5: 1}
+
+
+def test_a_fresh_parse_scans_the_residues_again():
+    # Y_1 is kept on the polynomial object, not in a cache keyed by its terms
+    with residue_scans() as scans:
+        f = parse_poly("y - x^2")
+        lift_points(f, 5, 2)
+        lift_points(f, 5, 3)
+        assert scans[5] == 1
+        g = parse_poly("y - x^2")
+        assert g == f
+        assert lift_points(g, 5, 3).same_points(lift_points(f, 5, 3))
+        assert scans[5] == 2
+
+
+def test_the_kept_residues_are_read_only():
+    f = parse_poly("y^2 - x^3 - x^2")
+    before = pairs(brute_points(f, 5, 1))
+    tables = _lift_tables(f, 5)
+    for arr in (tables.xs, tables.ys):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert pairs(brute_points(f, 5, 1)) == before == pairs(full_grid_points(f, 5, 1))
+
+
+def test_the_tables_keep_their_cap_and_the_brute_scan_its_budget(monkeypatch):
+    # the tables refuse p^2 > BRUTE_BUDGET even when Y_1 is already kept;
+    # brute_points scans under its own budget alone
+    monkeypatch.setattr(counting, "BRUTE_BUDGET", 48)
+    f = parse_poly("y - x^2")
+    assert len(brute_points(f, 7, 1, budget=49)) == 7
+    with pytest.raises(BudgetError, match="^the grid mod 7 has 49 cells, budget is 48$"):
+        _lift_tables(f, 7)
+    assert len(_lift_tables(f, 5).xs) == 5
 
 
 def test_lift_level_cap_refuses_before_any_lift(monkeypatch):

@@ -10,6 +10,7 @@ import cmath
 import csv
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,19 @@ def test_phase_validation():
         PhaseSpec(5, 2, 10)  # u not a unit
     assert PhaseSpec(5, 2, 26).u == 1  # numerator reduced mod p^m
     assert PhaseSpec(5, 2, -1).u == 24
+
+
+def test_phase_above_the_largest_float_is_refused_before_p_to_the_m():
+    # 5^441 < 1.8e308 < 5^442; 5^100000000 alone would take far longer to compute
+    assert PhaseSpec(5, 441, 2).denominator == 5**441
+    for m in (442, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^modulus 5\\^{m} exceeds the largest float$"):
+            PhaseSpec(5, m, 1)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="2\\^1024"):
+        PhaseSpec(2, 1024, 1)  # 2^1024 is the first power of 2 above the largest float
+    assert PhaseSpec(2, 1023, 1).u == 1
 
 
 def test_record_magnitude_cannot_exceed_count():
