@@ -4,14 +4,15 @@ Two independent routes to the same set: `brute_points` decides every cell
 of the (Z/p^m)^2 grid, `lift_points` grows solutions digit by digit, using
 the one-step Hensel formula at residues where a partial derivative is a
 unit and digit pairs elsewhere.  The brute route is the oracle for the
-lifting route: they share the evaluator (`BiPoly.horner`) and Y_1, kept on
-the polynomial after one scan of the p^2 residues, not the enumeration.
-As f(x, y) = f(x mod p, y mod p) mod p for integer coefficients, every
-point of Y_m lies above one of Y_1: the grid scan evaluates f mod p^m only
-on the cells above Y_1, about a 1/p share of the grid, and a lifted point
-reads its residue facts from the lift tables (`_lift_tables`), one row per
-point of Y_1.  Smooth points have one Newton division, `_newton_step`, which
-lifts points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step.
+lifting route: they share the evaluator (`BiPoly.horner`) and the lift
+tables of (f, p), not the enumeration.  The tables, Y_1 with each point's
+solved coordinate and -1/f_s mod p, are built once per polynomial and
+prime by `_residue_tables` and kept on f.  As f(x, y) = f(x mod p, y mod
+p) mod p for integer coefficients, every point of Y_m lies above one of
+Y_1: the grid scan evaluates f mod p^m only on the cells above Y_1, about
+a 1/p share of the grid, and a lifted point reads its residue's row.
+Smooth points have one Newton division, `_newton_step`, which lifts
+points of Y_k to Y_m (k <= m <= 2k) in one exact Hensel step.
 It evaluates f once per call: the points where y is solved for and those
 where x is sit in two blocks of one array, and each block takes its
 correction along its own solved row.  `_lift_to` applies it to the
@@ -210,21 +211,61 @@ def _grid_zeros(f: BiPoly, x0s: np.ndarray, y0s: np.ndarray, step: int, n: int, 
     return np.concatenate(found_x), np.concatenate(found_y)
 
 
-def _residue_zeros(f: BiPoly, p: int):
-    """Y_1, the zeros of f mod p, as the rows x, y of a read-only int64 array.
+class _LiftTables(NamedTuple):
+    """Y_1 and the residue facts of f at its points, in read-only int64 arrays.
 
-    `_grid_zeros` scans the one p x p sub-grid at the origin, in int32 when
-    p^2 < 2^31, once per polynomial and prime; x*p + y increases along the
-    rows, and the array is kept on f, in a dict put in its `_residues` slot.
+    xs, ys and keys x*p + y are Y_1 in increasing key order.  Per point,
+    kind is the coordinate solved for (0: y, f_y a unit mod p; 1: x, only
+    f_x is; else `_SINGULAR`) and w = -1/f_s mod p for it (0 if singular).
+    kind stays in this module: other modules ask `points`.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    keys: np.ndarray
+    kind: np.ndarray
+    w: np.ndarray
+
+    def points(self, singular: bool):
+        """The singular (or the smooth) points of Y_1, as xs, ys in key order."""
+        at = (self.kind == _SINGULAR) == singular
+        return self.xs[at], self.ys[at]
+
+
+def _residue_tables(f: BiPoly, p: int) -> _LiftTables:
+    """The lift tables of f mod p, built on first use and kept in f's `_residues`.
+
+    Y_1 is `_grid_zeros` on the one p x p sub-grid at the origin (int32 when
+    p^2 < 2^31), so its keys increase; f_x and f_y are evaluated mod p on Y_1
+    alone, and the solved partial is inverted at the smooth points only, by
+    Fermat, in O(log p) int64 steps ((p - 1)^2 < 2^62).
     """
     kept = getattr(f, "_residues", None)
     if kept is None:
         kept = f._residues = {}
     if p not in kept:
         origin = np.zeros(1, dtype=np.int32 if p * p < 2**31 else np.int64)
-        kept[p] = np.array(_grid_zeros(f, origin, origin, 1, p, p), dtype=np.int64)
-        kept[p].flags.writeable = False
+        xs, ys = np.array(_grid_zeros(f, origin, origin, 1, p, p), dtype=np.int64)
+        fx, fy = f.partial("x").horner(xs, ys, p), f.partial("y").horner(xs, ys, p)
+        kind = np.where(fy != 0, 0, np.where(fx != 0, 1, _SINGULAR))
+        smooth = kind != _SINGULAR
+        solved = np.where(kind == 0, fy, fx)[smooth]
+        inv = np.ones_like(solved)  # solved^(p-2) = 1/solved mod p, by Fermat
+        for bit in bin(p - 2)[2:]:  # square and multiply, top bit first
+            inv = inv * inv % p * (solved if bit == "1" else 1) % p
+        w = np.zeros(len(xs), dtype=np.int64)
+        w[smooth] = -inv % p
+        kept[p] = _LiftTables(xs, ys, xs * p + ys, kind, w)
+        for arr in kept[p]:
+            arr.flags.writeable = False
     return kept[p]
+
+
+def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
+    """`_residue_tables`, under the brute scan's cap on the p^2 residues."""
+    if p * p > BRUTE_BUDGET:
+        raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
+    return _residue_tables(f, p)
 
 
 def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> PointSet:
@@ -232,7 +273,7 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
 
     f has integer coefficients, so f(x, y) = f(x mod p, y mod p) mod p: a
     cell can vanish mod q = p^m only above a point of Y_1, the answer at
-    m = 1, which `_residue_zeros` scans once per polynomial and prime, under
+    m = 1, which `_residue_tables` scans once per polynomial and prime, under
     no budget.  `_grid_zeros` evaluates f mod q on the q^2/p^2 cells above
     each point of Y_1 and on no other cell: every cell it skips is a proven
     non-zero, so the scan still decides all q^2 cells, and the budget caps
@@ -246,51 +287,25 @@ def brute_points(f: BiPoly, p: int, m: int, budget: int = BRUTE_BUDGET) -> Point
         raise BudgetError(
             f"brute enumeration needs {q * q} evaluations, budget is {budget}"
         )
-    xs, ys = _residue_zeros(f, p)
+    tables = _residue_tables(f, p)
+    xs, ys = tables.xs, tables.ys
     if m > 1:
         dtype = np.int32 if q * q < 2**31 else np.int64
         xs, ys = _grid_zeros(f, xs.astype(dtype), ys.astype(dtype), p, q // p, q)
     return PointSet(p, m, xs, ys)
 
 
-class _LiftTables(NamedTuple):
-    """Y_1 and the residue facts of f at its points, one row per point.
-
-    xs, ys and keys x*p + y are Y_1 in increasing key order.  Per point,
-    kind is the coordinate solved for (0: y, f_y a unit mod p; 1: x, only
-    f_x is; else `_SINGULAR`) and w = -1/f_s mod p for it (0 if singular).
-    """
-
-    p: int
-    xs: np.ndarray
-    ys: np.ndarray
-    keys: np.ndarray
-    kind: np.ndarray
-    w: np.ndarray
-
-
-def _lift_tables(f: BiPoly, p: int) -> _LiftTables:
-    """The lift tables of f: Y_1 from `_residue_zeros`, under the brute scan's cap
-    on the p^2 residues, and the partials of f mod p on Y_1 alone."""
-    if p * p > BRUTE_BUDGET:
-        raise BudgetError(f"the grid mod {p} has {p * p} cells, budget is {BRUTE_BUDGET}")
-    xs, ys = _residue_zeros(f, p)
-    fx, fy = f.partial("x").horner(xs, ys, p), f.partial("y").horner(xs, ys, p)
-    kind = np.where(fy != 0, 0, np.where(fx != 0, 1, _SINGULAR))
-    inv = np.array([0] + [p - pow(v, -1, p) for v in range(1, p)], dtype=np.int64)
-    return _LiftTables(p, xs, ys, xs * p + ys, kind, inv[np.where(kind == 0, fy, fx)])
-
-
-def _by_solved(tables: _LiftTables, xs: np.ndarray, ys: np.ndarray):
+def _by_solved(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int):
     """The points grouped by solved coordinate: (xs, ys, w, n_y, n_smooth).
 
     First the n_y points where y is solved for, then those where x is, up
     to n_smooth, then the singular ones, each group in input order; w is
-    -1/f_s mod p at each smooth point, from the tables.  Points of one
-    kind come back as given.
+    -1/f_s mod p at each smooth point, from the lift tables of f at p.
+    Points of one kind come back as given.
     """
+    tables = _residue_tables(f, p)
     # a point keeps its residue mod p, hence its row of the tables, as it lifts
-    rows = np.searchsorted(tables.keys, xs % tables.p * tables.p + ys % tables.p)
+    rows = np.searchsorted(tables.keys, xs % p * p + ys % p)
     kind = tables.kind[rows]
     counts = np.bincount(kind, minlength=_SINGULAR + 1)
     n_y, n_x = int(counts[0]), int(counts[1])
@@ -338,7 +353,7 @@ def _newton_step(f: BiPoly, xs, ys, w, n_y: int, p: int, k: int, m: int, tiles: 
     return pts
 
 
-def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables):
+def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int):
     """Every lift to level k+1 of the points (xs, ys) of Y_k, as a (2, n) array.
 
     The smooth points take one `_newton_step` with their free digit tiled
@@ -350,7 +365,7 @@ def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables
     The output has at most smooth * p + singular * p^2 columns; above
     `_LIFT_LEVEL_CAP` the step raises BudgetError before it allocates.
     """
-    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys)
+    xs, ys, w, n_y, n_smooth = _by_solved(f, xs, ys, p)
     bound = n_smooth * p + (len(xs) - n_smooth) * p * p
     if bound > _LIFT_LEVEL_CAP:
         raise BudgetError(
@@ -366,7 +381,7 @@ def _lift_step(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, tables
     return np.concatenate([np.zeros((2, 0), dtype=xs.dtype)] + columns, axis=1)
 
 
-def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, tables):
+def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int):
     """Each smooth point of Y_k lifted to the point of Y_m on its free coordinate.
 
     The coordinate solved for is y where f_y is a unit mod p, else x; the
@@ -378,7 +393,7 @@ def _lift_to(f: BiPoly, xs: np.ndarray, ys: np.ndarray, p: int, k: int, m: int, 
     """
     if m == k:
         return np.stack([xs, ys])
-    xs, ys, w, n_y, n_smooth = _by_solved(tables, xs, ys)
+    xs, ys, w, n_y, n_smooth = _by_solved(f, xs, ys, p)
     return _newton_step(f, xs[:n_smooth], ys[:n_smooth], w, n_y, p, k, m, 1)
 
 
@@ -397,7 +412,7 @@ def lift_levels(f: BiPoly, p: int, m: int) -> Iterator[PointSet]:
     yield PointSet(p, 1, xs, ys)
 
     for k in range(1, m):
-        xs, ys = _lift_step(f, xs, ys, p, k, tables)
+        xs, ys = _lift_step(f, xs, ys, p, k)
         yield PointSet(p, k + 1, xs, ys)
 
 

@@ -64,14 +64,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .counting import (
-    _SINGULAR,
-    PointSet,
-    _check_vector_safe,
-    _lift_step,
-    _lift_tables,
-    _lift_to,
-)
+from .counting import PointSet, _check_vector_safe, _lift_step, _lift_tables, _lift_to
 from .padic import _check_level
 from .polynomials import BiPoly
 from .series import Parametrization, SeriesPrecisionError, is_srp_series
@@ -300,20 +293,19 @@ def decay_records(
     PhaseSpec(p, m_max, u)  # p prime and u a unit, before any work
     tables = _lift_tables(f, p)
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
-    singular = tables.kind == _SINGULAR
-    classes = np.stack([tables.xs[~singular], tables.ys[~singular]])  # the chain at level 1
+    classes = np.stack(tables.points(singular=False))  # the chain at level 1
     n_smooth = classes.shape[1]
-    held, sx, sy = {}, tables.xs[singular], tables.ys[singular]  # level -> singular points
+    held, (sx, sy) = {}, tables.points(singular=True)  # level -> singular points
     for m in range(1, m_max + 1):
         if m in wanted:
             held[m] = sx, sy
         if m < m_max and len(sx):
-            sx, sy = _lift_step(f, sx, sy, p, m, tables)
+            sx, sy = _lift_step(f, sx, sy, p, m)
 
     records = []
     for k in range(1, (m_max + 3) // 2):
         levels = [m for m in (2 * k - 1, 2 * k) if m in wanted]
-        pts = _lift_to(f, *classes, p, k, min(2 * k, m_max), tables) if levels else classes
+        pts = _lift_to(f, *classes, p, k, min(2 * k, m_max)) if levels else classes
         critical = jac.horner(*pts, p**k) == 0
         for m in levels:
             sx, sy = held.pop(m)
@@ -326,6 +318,6 @@ def decay_records(
             count = n_smooth * p ** (m - 1) + len(sx)
             records.append(SumRecord(p, m, phase.u, str(f), str(g), value, count))
         if 2 * k < m_max:
-            chain = PointSet(p, k + 1, *_lift_step(f, *(pts[:, critical] % p**k), p, k, tables))
+            chain = PointSet(p, k + 1, *_lift_step(f, *(pts[:, critical] % p**k), p, k))
             classes = np.stack([chain.xs, chain.ys])
     return records

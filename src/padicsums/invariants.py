@@ -37,14 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .counting import (
-    _SINGULAR,
-    BudgetError,
-    _extend_pairs,
-    _int_dtype,
-    _lift_tables,
-    lift_points,
-)
+from .counting import BudgetError, _extend_pairs, _int_dtype, _lift_tables, lift_points
 from .expsums import SumRecord
 from .padic import INFINITY, _check_level, _int_valuation
 from .polynomials import BiPoly, _gcd, _squarefree
@@ -402,13 +395,12 @@ def _extend_classes(
 def _smooth_residue(h: BiPoly, p: int) -> tuple[int, int] | None:
     """A zero of h mod p at which a partial of h is a unit, or None.
 
-    By Hensel such a residue lifts to a point of h = 0 over Z_p.  Y_1 and
-    the kind of each of its points come from the lift tables of h, under
-    the brute scan's cap on the p^2 residues.
+    By Hensel such a residue lifts to a point of h = 0 over Z_p.  The
+    smooth points of Y_1 come from the lift tables of h, under the brute
+    scan's cap on the p^2 residues.
     """
-    tables = _lift_tables(h, p)
-    smooth = np.flatnonzero(tables.kind != _SINGULAR)
-    return (int(tables.xs[smooth[0]]), int(tables.ys[smooth[0]])) if len(smooth) else None
+    xs, ys = _lift_tables(h, p).points(singular=False)
+    return (int(xs[0]), int(ys[0])) if len(xs) else None
 
 
 def _y_major(h: BiPoly) -> str:

@@ -80,9 +80,10 @@ class BiPoly:
     """Polynomial in x, y over Z, stored as a map (deg_x, deg_y) -> coeff.
 
     Nothing assigns or mutates `terms` after __init__, so each partial
-    derivative, the coefficient rows of `horner` and, per prime p, the
-    zeros mod p (read-only arrays in `_residues`, set on the first scan by
-    `counting._residue_zeros`) are computed once and kept on the instance.
+    derivative, the coefficient rows of `horner` and, per prime p, the lift
+    tables mod p (in `_residues`, set by `counting._residue_tables`: the
+    zeros mod p with their solved coordinates and -1/f_s mod p, in read-only
+    arrays) are computed once and kept on the instance.
     """
 
     __slots__ = ("terms", "_partials", "_rows", "_residues")

@@ -8,6 +8,7 @@ import json
 import math
 import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -154,14 +155,24 @@ def test_lift_matches_brute_and_grid(text, p):
         assert pairs(lifted) == grid_oracle(f, p, m), (text, p, m)
 
 
+class HornerCall(NamedTuple):
+    x: tuple
+    y: tuple
+    dtype: object  # of the array operands; None when neither is an array
+    modulus: int | None
+    poly: BiPoly
+
+
 @contextlib.contextmanager
 def horner_calls():
-    """Record (x shape, y shape, dtype, modulus) of each `BiPoly.horner` call."""
+    """Record a `HornerCall` for each `BiPoly.horner` call, any operands."""
     calls = []
     horner = BiPoly.horner
 
     def spy(self, x, y, modulus=None):
-        calls.append((np.shape(x), np.shape(y), np.result_type(x, y), modulus))
+        arrays = [a for a in (x, y) if isinstance(a, np.ndarray)]
+        dtype = np.result_type(*arrays) if arrays else None
+        calls.append(HornerCall(np.shape(x), np.shape(y), dtype, modulus, self))
         return horner(self, x, y, modulus)
 
     with mock.patch.object(BiPoly, "horner", spy):
@@ -173,6 +184,18 @@ def cells(call):
     return math.prod(np.broadcast_shapes(call[0], call[1]))
 
 
+def split_calls(calls, f):
+    """The recorded calls on f itself, and those on other polynomials."""
+    return [c for c in calls if c.poly is f], [c for c in calls if c.poly is not f]
+
+
+def tables_calls(f, p, kept):
+    """The calls that build the lift tables of f mod p: f_x, then f_y, each
+    over the `kept` points of Y_1 as int64 arrays."""
+    n = (kept,)
+    return [(n, n, np.int64, p, f.partial("x")), (n, n, np.int64, p, f.partial("y"))]
+
+
 def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
     # q = 729: Y_1 holds 3 residues, each under a 243 x 243 sub-grid mod q;
     # two sub-grids fit in a block, so the last block holds one
@@ -180,12 +203,15 @@ def test_brute_points_matches_a_scalar_scan_over_uneven_blocks():
     assert _GRID_BLOCK // 243**2 == 2
     with horner_calls() as calls:
         found = pairs(brute_points(f, 3, 6))
+        assert pairs(brute_points(f, 3, 1)) == grid_oracle(f, 3, 1)
+    calls, others = split_calls(calls, f)
+    assert others == tables_calls(f, 3, 3)  # once per polynomial and prime
     assert [c[:2] for c in calls] == [
         ((1, 3, 1), (1, 1, 3)),  # the p^2 residues: the one sub-grid at the origin
         ((2, 243, 1), (2, 1, 243)),
         ((1, 243, 1), (1, 1, 243)),
     ]
-    assert [c[2:] for c in calls] == [(np.int32, 3), (np.int32, 729), (np.int32, 729)]
+    assert [c[2:4] for c in calls] == [(np.int32, 3), (np.int32, 729), (np.int32, 729)]
     assert len(found) == 729
     assert found == grid_oracle(f, 3, 6)
 
@@ -203,6 +229,8 @@ def test_brute_points_evaluates_only_the_cells_above_y1(text, p, m, kept):
     q, n = p**m, p ** (m - 1)
     with horner_calls() as calls:
         got = brute_points(f, p, m)
+    calls, others = split_calls(calls, f)
+    assert others == tables_calls(f, p, kept)
     assert len(full_grid_points(f, p, 1)) == kept
     assert got.same_points(full_grid_points(f, p, m))
     if q <= 125:
@@ -240,6 +268,8 @@ def test_brute_points_matches_the_full_grid_scan(case):
         got = brute_points(f, p, m)
     assert pairs(got) == pairs(full_grid_points(f, p, m)) == grid_oracle(f, p, m)
     kept = len(full_grid_points(f, p, 1))
+    calls, others = split_calls(calls, f)
+    assert others == tables_calls(f, p, kept)
     sizes = [cells(c) for c in calls]
     # at m = 1 the residue scan is the answer
     assert sum(sizes) == p * p + (kept * n * n if m > 1 else 0)
@@ -260,7 +290,7 @@ def test_lift_matches_brute_with_empty_fibers(text, p):
 def test_lift_step_of_no_points():
     f = parse_poly("y^2 - x^3")
     empty = np.zeros(0, dtype=np.int64)
-    out = _lift_step(f, empty, empty, 5, 2, _lift_tables(f, 5))
+    out = _lift_step(f, empty, empty, 5, 2)
     assert out.shape == (2, 0) and out.dtype == np.int64
 
 
@@ -326,13 +356,12 @@ def scalar_lift_step(f, points, p, k):
 def test_lift_step_matches_a_scalar_digit_search_in_column_order(text, p):
     # the curves mix residues where y is solved for, where x is, and singular ones
     f = parse_poly(text)
-    tables = _lift_tables(f, p)
     rng = np.random.default_rng(0)
     for k in (1, 2, 3):
         level = lift_points(f, p, k)
         order = rng.permutation(len(level))  # columns follow the input order
         xs, ys = level.xs[order], level.ys[order]
-        got = _lift_step(f, xs, ys, p, k, tables)
+        got = _lift_step(f, xs, ys, p, k)
         want = scalar_lift_step(f, list(zip(xs.tolist(), ys.tolist())), p, k)
         assert list(zip(got[0].tolist(), got[1].tolist())) == want, k
 
@@ -344,13 +373,12 @@ def test_lift_step_matches_a_scalar_digit_search_in_column_order(text, p):
 )
 def test_lift_step_keeps_column_order_with_mixed_residues(text, p):
     f = parse_poly(text)
-    tables = _lift_tables(f, p)
     rng = np.random.default_rng(1)
     for k in (1, 2):
         level = lift_points(f, p, k)
         order = rng.permutation(len(level))
         xs, ys = level.xs[order], level.ys[order]
-        got = _lift_step(f, xs, ys, p, k, tables)
+        got = _lift_step(f, xs, ys, p, k)
         want = scalar_lift_step(f, list(zip(xs.tolist(), ys.tolist())), p, k)
         assert list(zip(got[0].tolist(), got[1].tolist())) == want, k
 
@@ -470,6 +498,53 @@ def test_the_kept_residues_are_read_only():
     assert pairs(brute_points(f, 5, 1)) == before == pairs(full_grid_points(f, 5, 1))
 
 
+@contextlib.contextmanager
+def tables_built():
+    """Count the lift tables `counting` builds (one `_LiftTables` per build)."""
+    built = []
+    real = counting._LiftTables
+
+    def spy(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    with mock.patch.object(counting, "_LiftTables", spy):
+        yield built
+
+
+def test_verify_builds_the_lift_tables_once():
+    # decay_records and contact_exponent read the tables of the one parsed f;
+    # the BiPoly operands of contact_order's series reach the horner spy too
+    with tables_built() as built, horner_calls() as calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["verify", "--p", "5", "--m", "3..8", "--f", "y - x^2", "--g", "y"])
+    assert (code, len(built)) == (0, 1)
+    assert any(isinstance(c.poly, BiPoly) and c.dtype is None for c in calls)
+
+
+def test_brute_and_lift_on_one_polynomial_build_the_tables_once():
+    f = parse_poly("y^2 - x^3 - x^2")
+    with tables_built() as built:
+        brute = brute_points(f, 5, 3)
+        assert len(built) == 1
+        assert lift_points(f, 5, 3).same_points(brute)
+        assert len(built) == 1
+        g = parse_poly("y^2 - x^3 - x^2")  # a fresh parse builds its own
+        assert lift_points(g, 5, 3).same_points(brute)
+        assert len(built) == 2
+
+
+def test_every_array_of_the_tables_is_read_only():
+    f = parse_poly("y^2 - x^3 - x^2")  # kinds 0, 1 and 2 at p = 5
+    tables = _lift_tables(f, 5)
+    assert _lift_tables(f, 5) is tables
+    for arr in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    want = pairs(full_grid_points(f, 5, 1))
+    assert pairs(tables) == pairs(brute_points(f, 5, 1)) == want
+
+
 def test_the_tables_keep_their_cap_and_the_brute_scan_its_budget(monkeypatch):
     # the tables refuse p^2 > BRUTE_BUDGET even when Y_1 is already kept;
     # brute_points scans under its own budget alone
@@ -514,10 +589,10 @@ def test_verify_above_the_lift_level_cap_exits_two(monkeypatch, capsys):
     assert "may hold" in err and "the cap is 10000" in err
 
 
-def zero_digit_lifts(f, xs, ys, p, k, m, tables):
+def zero_digit_lifts(f, xs, ys, p, k, m):
     """m - k steps of `_lift_step`, each keeping the lift whose free digit is 0."""
     for j in range(k, m):
-        xs, ys = _lift_step(f, xs, ys, p, j, tables)
+        xs, ys = _lift_step(f, xs, ys, p, j)
         fy_red = f.partial("y").horner(xs, ys, p)
         free = np.where(fy_red != 0, xs, ys)  # x when y is solved for, else y
         xs, ys = xs[free < p**j], ys[free < p**j]
@@ -531,11 +606,10 @@ def zero_digit_lifts(f, xs, ys, p, k, m, tables):
 )
 def test_newton_lift_matches_the_zero_digit_loop(text, p):
     f, k = parse_poly(text), 4
-    tables = _lift_tables(f, p)
     top = lift_points(f, p, k)
     for m in range(k, 2 * k + 1):  # r = 0..4: the inverse doubles 0, 1 and 2 times
-        got = _lift_to(f, top.xs, top.ys, p, k, m, tables)
-        want = zero_digit_lifts(f, top.xs, top.ys, p, k, m, tables)
+        got = _lift_to(f, top.xs, top.ys, p, k, m)
+        want = zero_digit_lifts(f, top.xs, top.ys, p, k, m)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert (f.horner(got[0], got[1], p**m) == 0).all()
 

@@ -172,6 +172,28 @@ def test_onevar_equals_graph_curve_sum():
     assert via_onevar.value == pytest.approx(via_curve.value, abs=1e-10)
 
 
+@st.composite
+def onevar_inputs(draw):
+    """h of degree <= 5 in x, coefficients -30..30 times p^0..p^2, a top level and a unit."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    coefficients = draw(st.lists(st.tuples(st.integers(-30, 30), st.integers(0, 2)), max_size=6))
+    h = BiPoly({(i, 0): c * p**e for i, (c, e) in enumerate(coefficients)})
+    u = draw(st.integers(-(10**4), 10**4).filter(lambda v: v % p))
+    return h, p, draw(st.integers(1, 8)), u
+
+
+@settings(max_examples=100, deadline=None)
+@given(onevar_inputs())
+def test_onevar_sum_is_the_graph_curve_sum_exactly(case):
+    # sum_onevar and decay_records on y - h with weight y sum the same classes
+    # in the same order: every field of every record agrees, the float included
+    h, p, m_max, u = case
+    levels = range(1, m_max + 1)
+    y = BiPoly.variable("y")
+    graph = decay_records(y - h, y, p, levels, u)
+    assert [sum_onevar(h, PhaseSpec(p, m, u)) for m in levels] == graph
+
+
 def test_onevar_rejects_bivariate():
     with pytest.raises(ValueError):
         sum_onevar(parse_poly("x + y"), PhaseSpec(5, 1, 1))
@@ -530,9 +552,9 @@ def test_decay_records_lift_each_k_to_its_top_level_once(monkeypatch):
     calls = []
     real = counting._lift_to
 
-    def spy(f, xs, ys, p, k, m, tables):
+    def spy(f, xs, ys, p, k, m):
         calls.append((k, m))
-        return real(f, xs, ys, p, k, m, tables)
+        return real(f, xs, ys, p, k, m)
 
     monkeypatch.setattr(expsums, "_lift_to", spy)
     decay_records(parse_poly("y - x^2"), parse_poly("y"), 5, range(3, 8))
@@ -547,10 +569,10 @@ def test_decay_records_enumerate_only_up_to_half_the_top_level(monkeypatch):
     sizes = []
     real = counting._lift_step
 
-    def spy(f, xs, ys, p, k, tables):
+    def spy(f, xs, ys, p, k):
         assert (jac.horner(xs, ys, p**k) == 0).all()
         sizes.append((k, len(xs)))
-        return real(f, xs, ys, p, k, tables)
+        return real(f, xs, ys, p, k)
 
     monkeypatch.setattr(expsums, "_lift_step", spy)
     records = decay_records(f, g, 5, range(3, 10))
