@@ -20,11 +20,11 @@ where both partials vanish mod p have no such branch: their points of
 Y_m are enumerated and summed one by one.  J has integer coefficients,
 so J mod p^(k-1) is fixed by a class's reduction mod p^(k-1): the
 classes kept for m = 2k - 1 are the p lifts of each class kept for
-m = 2k - 2, and `decay_records` climbs one chain of J-critical classes
-from the smooth points of Y_1.  A class's lift to Y_2k reduces mod
-p^(2k-1) to its lift to Y_(2k-1), so one Newton step per k serves both
-m = 2k - 1 and m = 2k.  A one-variable sum is the curve y = f(x) with
-weight y, where J = -f' and every class is smooth:
+m = 2k - 2.  `decay_records` loops once over m: each odd m lifts this
+chain one level and the singular points of Y_m advance with m.  A
+class's lift to Y_2k reduces to its lift to Y_(2k-1), so one Newton
+step per k serves m = 2k - 1 and m = 2k.  A one-variable sum is the
+curve y = f(x) with weight y, where J = -f' and every class is smooth:
 
     S_m = p^r * sum over a mod p^k with f'(a) = 0 mod p^r of
           exp(2*pi*i * u*f(a)/p^m),
@@ -275,11 +275,11 @@ def decay_records(
 ) -> list[SumRecord]:
     """One record per level in m_range, by the stationary-phase rule.
 
-    The chain of classes (module docstring) starts at the smooth points of
-    Y_1; level k + 1 is the `_lift_step` of level k's classes with J = 0
-    mod p^k.  At each k with a wanted level, one `_lift_to` takes them to
-    Y_min(2k, max m) with free digits 0; m = 1 sums them as given.  The
-    singular points are lifted level by level from Y_1 before any sum.
+    One loop over m = 1..max m; each odd m starts k = ceil(m/2).  There the
+    chain of classes (module docstring) takes one `_lift_step` of the
+    previous k's critical classes and, when m or m + 1 is wanted, one
+    `_lift_to` to Y_min(2k, max m) with free digits 0 (m = 1 sums them as
+    given).  The singular points of Y_m advance by one `_lift_step` per m.
     point_count is (smooth points of Y_1) * p^(m-1) plus the singular points.
     """
     wanted = set(m_range)
@@ -293,31 +293,26 @@ def decay_records(
     PhaseSpec(p, m_max, u)  # p prime and u a unit, before any work
     tables = _lift_tables(f, p)
     jac = f.partial("x") * g.partial("y") - f.partial("y") * g.partial("x")
-    classes = np.stack(tables.points(singular=False))  # the chain at level 1
-    n_smooth = classes.shape[1]
-    held, (sx, sy) = {}, tables.points(singular=True)  # level -> singular points
+    chain = tables.points(singular=False)  # level 1 of the chain of classes, as xs, ys
+    sx, sy = tables.points(singular=True)  # the singular points of Y_m
+    n_smooth, records = len(chain[0]), []
     for m in range(1, m_max + 1):
+        k = (m + 1) // 2
+        if m % 2:  # a new k
+            if m > 1:  # level k of the chain: the lifts of the critical classes
+                level = PointSet(p, k, *_lift_step(f, *np.mod(crit, p ** (k - 1)), p, k - 1))
+                chain = level.xs, level.ys
+            pts = _lift_to(f, *chain, p, k, min(2 * k, m_max)) if {m, m + 1} & wanted else chain
+            at = jac.horner(*pts, p**k) == 0
+            crit = pts[0][at], pts[1][at]
         if m in wanted:
-            held[m] = sx, sy
-        if m < m_max and len(sx):
-            sx, sy = _lift_step(f, sx, sy, p, m)
-
-    records = []
-    for k in range(1, (m_max + 3) // 2):
-        levels = [m for m in (2 * k - 1, 2 * k) if m in wanted]
-        pts = _lift_to(f, *classes, p, k, min(2 * k, m_max)) if levels else classes
-        critical = jac.horner(*pts, p**k) == 0
-        for m in levels:
-            sx, sy = held.pop(m)
-            kept = classes if m == 1 else pts[:, critical] if m == 2 * k else pts
+            kept = chain if m == 1 else crit if m % 2 == 0 else pts
             phase = PhaseSpec(p, m, u)
-            q = phase.denominator
-            value = p ** (m - k) * _char_sum(_phase_values(g, *kept, phase), q)
+            value = p ** (m - k) * _char_sum(_phase_values(g, *kept, phase), phase.denominator)
             if len(sx):
-                value += _char_sum(_phase_values(g, sx, sy, phase), q)
+                value += _char_sum(_phase_values(g, sx, sy, phase), phase.denominator)
             count = n_smooth * p ** (m - 1) + len(sx)
             records.append(SumRecord(p, m, phase.u, str(f), str(g), value, count))
-        if 2 * k < m_max:
-            chain = PointSet(p, k + 1, *_lift_step(f, *(pts[:, critical] % p**k), p, k))
-            classes = np.stack([chain.xs, chain.ys])
+        if m < m_max and len(sx):
+            sx, sy = _lift_step(f, sx, sy, p, m)
     return records

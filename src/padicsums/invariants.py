@@ -430,7 +430,8 @@ def contact_exponent(
     and h = gcd(f, J) is not constant with a smooth residue, J vanishes on
     h = 0, so g is constant along each branch of that component:
     WeightConstantError names h.  A shared factor with no smooth residue,
-    such as x^2 + y^2 at p = 3, leaves the input to the search.
+    such as x^2 + y^2 at p = 3, leaves the input to the search, and only
+    such an h turns an all-undecided search into WeightConstantError.
 
     Candidates are the classes mod p^depth where both f and the Jacobian
     J = f_x g_y - f_y g_x vanish.  During the search a class is certified as
@@ -503,10 +504,10 @@ def contact_exponent(
     det = f.partial("x") * jac.partial("y") - f.partial("y") * jac.partial("x")
 
     witnesses: list[Witness] = []
-    attempted = inconclusive = unparametrized = doubtful = 0
+    attempted = unparametrized = doubtful = 0
 
     def measure(x: int, y: int, level: int, how: str) -> None:
-        nonlocal attempted, inconclusive, unparametrized, doubtful
+        nonlocal attempted, unparametrized, doubtful
         attempted += 1
         pt = certify_point(f, x, y, p, level)
         shown = min(level, 4)
@@ -514,7 +515,6 @@ def contact_exponent(
         try:
             result = contact_order(f, g, pt)
         except ContactInconclusiveError as exc:
-            inconclusive += 1
             unparametrized += isinstance(exc.__cause__, HenselPreconditionError)
             notes.append(f"contact order at {where} undecided at the precision caps")
             return
@@ -567,7 +567,7 @@ def contact_exponent(
     except BudgetError as exc:
         notes.append(str(exc))
 
-    if all_critical_mod_p and attempted > 0 and attempted == inconclusive:
+    if all_critical_mod_p and attempted and not witnesses:  # every attempt undecided
         if unparametrized:
             raise ContactInconclusiveError(
                 "every point of the curve mod p is critical and no branch shows the "
@@ -575,9 +575,14 @@ def contact_exponent(
                 "have a repeated factor, or a singular point on the critical locus",
                 [f"{unparametrized} of {attempted} contact attempt(s) found no branch"],
             )
-        raise WeightConstantError(
-            "every point of the curve mod p is critical and no branch shows "
-            "the weight moving: the weight is constant on the curve"
+        if repeated.is_constant and not shared.is_constant:  # J = 0 where shared = 0
+            raise WeightConstantError(
+                f"f and the Jacobian share the factor {_y_major(shared)}, and no branch "
+                "shows the weight moving: the weight is constant on the curve"
+            )
+        raise ContactInconclusiveError(
+            "every point of the curve mod p is critical and no contact order was decided "
+            "at the precision caps", notes
         )
 
     confidence = "certified" if not len(xs) and not doubtful else "heuristic"

@@ -189,6 +189,33 @@ def test_weight_constant_on_a_component_exits_three(capsys):
     assert "share the factor y, which is smooth at (0, 0) mod 7" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sigma", "--p", "5", "--f", "y - 5^300*x^2", "--g", "y"),
+        ("verify", "--p", "5", "--m", "3..8", "--f", "y - 5^300*x^2", "--g", "y"),
+        ("sigma", "--p", "7", "--f", "y - 7^300*x^3", "--g", "y"),
+    ],
+    ids=["sigma-square", "verify-square", "sigma-cube"],
+)
+def test_no_contact_order_decided_exits_four(capsys, argv):
+    # g = y moves along each curve, but its contact order lies past the 5^256
+    # precision cap: every point mod p is critical and every attempt ends
+    # undecided, while gcd(f, J) is constant, so nothing shows g constant
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (4, "")
+    assert "no contact order was decided at the precision caps" in err
+
+
+def test_weight_vanishing_on_a_curve_singular_mod_p_exits_three(capsys):
+    # g = x*f gives J = -f_y*f, so gcd(f, J) = f; every zero of x^2 - 5y mod 5
+    # is singular, so no smooth residue names it before the search, and the
+    # search decides no contact order: the shared factor is what proves exit 3
+    code, out, err = run(capsys, "sigma", "--p", "5", "--f", "x^2 - 5*y", "--g", "x^3 - 5*x*y")
+    assert (code, out) == (3, "")
+    assert "share the factor 5*y - x^2, and no branch shows the weight moving" in err
+
+
 @pytest.mark.parametrize("command", [("sigma",), ("verify", "--m", "2..3")], ids=["sigma", "verify"])
 @pytest.mark.parametrize("depth", ["0", "-1"])
 def test_search_depth_below_one_exits_two(capsys, command, depth):
@@ -356,13 +383,20 @@ def test_param_rejects_options_it_does_not_read(capsys, flag):
         # --u and --l only shape the restricted sum
         (("--u", "2"), "param takes --u only with --g"),
         (("--l", "0"), "param takes --l only with --g"),
+        (("--g", "y", "--m", "3..4"), "this command needs a single level m, not a range"),
     ],
-    ids=["m-without-g", "g-without-m", "u-without-g", "l-without-g"],
+    ids=["m-without-g", "g-without-m", "u-without-g", "l-without-g", "m-range"],
 )
 def test_param_takes_g_and_m_only_together(capsys, flags, message):
     code, out, err = run(capsys, "param", "--p", "5", "--f", "y - x^2", "--at", "0,0", *flags)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_param_refuses_an_anchor_that_is_not_a_pair(capsys):
+    code, out, err = run(capsys, "param", "--p", "5", "--f", "y - x^2", "--at", "0")
+    assert (code, out) == (2, "")
+    assert "--at expects 'x,y' integers, got '0'" in err
 
 
 def test_param_restricted_sum_over_the_cap_exits_two(capsys):
@@ -564,13 +598,15 @@ PINNED_CERTIFICATES = [
         ("--p", "5", "--f", "y^2 - x^3 - 25", "--g", "y"),
         "certified", 3, [], [_witness(0, 5, 3, 1, 3), _witness(0, -5, 3, 1, 3)],
     ),
+    # x^2 + 1 has no root mod 3: no point of the curve to search from
+    (("--p", "3", "--f", "x^2 + 1", "--g", "y"), "certified", 1, ["curve has no points mod p"], []),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,confidence,exponent,notes,witnesses",
     PINNED_CERTIFICATES,
-    ids=["fermat-cubic", "cusp", "shifted-cubic", "budget", "node-pair"],
+    ids=["fermat-cubic", "cusp", "shifted-cubic", "budget", "node-pair", "no-points"],
 )
 def test_sigma_certificate_is_pinned(capsys, argv, confidence, exponent, notes, witnesses):
     code, out, _ = run(capsys, "sigma", *argv)
@@ -637,6 +673,18 @@ def test_verify_embeds_confidence(capsys):
     payload = json.loads(out)
     assert payload["config"]["exponent_confidence"] == "certified"
     assert payload["report"]["passed"] is True
+
+
+def test_verify_onevar_is_verify_on_the_graph_curve(capsys):
+    # the one-variable sum of h is the sum along y = h with weight y, and
+    # both certificates come from that curve: only the config blocks differ
+    levels = ("--p", "5", "--m", "3..8")
+    onevar = run(capsys, "verify", "--onevar", *levels, "--f", "x^3")
+    graph = run(capsys, "verify", *levels, "--f", "y - (x^3)", "--g", "y")
+    assert onevar[0] == graph[0] == 0
+    onevar_out, graph_out = json.loads(onevar[1]), json.loads(graph[1])
+    assert onevar_out["report"] == graph_out["report"]
+    assert onevar_out["config"]["onevar"] and not graph_out["config"]["onevar"]
 
 
 # Each output format byte for byte, kept in tests/golden/<id>.txt.  The
@@ -720,8 +768,9 @@ def test_missing_config_file(capsys):
         ("config = other.cfg", "unknown option 'config'"),
         ("tolerance = 0.1", "unrecognized arguments: --tolerance 0.1"),  # a verify option
         ("p = five", "argument --p: invalid int value: 'five'"),
+        ("p 5", "expected key=value, got 'p 5'"),
     ],
-    ids=["bad-flag", "config", "other-subcommand", "wrong-type"],
+    ids=["bad-flag", "config", "other-subcommand", "wrong-type", "no-equals"],
 )
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys, line, message):
     cfg = tmp_path / "bad.cfg"

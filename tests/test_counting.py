@@ -777,7 +777,8 @@ def test_a_singular_point_has_all_or_none_of_its_lifts(p, m):
     # both partials of y^2 - x^3 vanish mod p at (0, 0), so the first-order
     # term of the digit-pair step is 0 on every pair there
     f = parse_poly("y^2 - x^3")
-    tables = _lift_tables(f, p)
+    sx, sy = _lift_tables(f, p).points(singular=True)
+    assert (sx.tolist(), sy.tolist()) == ([0], [0])  # the one singular point of Y_1
     for k in range(1, m):
         level, above = brute_points(f, p, k), brute_points(f, p, k + 1)
         fx_red, fy_red = (f.partial(v).horner(level.xs, level.ys, p) for v in "xy")

@@ -345,6 +345,15 @@ def test_parametric_tail_guards():
         sum_parametric(small, g, 9, PhaseSpec(p, m, 1))  # l > m
 
 
+def test_parametric_sum_refuses_a_negative_l_and_another_prime():
+    f, g = parse_poly("y - x^2"), parse_poly("y")
+    param = hensel_param(f, certify_point(f, 0, 0, 5, 1), order=8, precision=10)
+    with pytest.raises(ValueError, match="l must be >= 0"):
+        sum_parametric(param, g, -1, PhaseSpec(5, 6, 1))
+    with pytest.raises(ValueError, match="parametrization prime does not match the phase"):
+        sum_parametric(param, g, 1, PhaseSpec(7, 6, 1))
+
+
 def test_srp_series_gets_relaxed_tail_rule():
     # branch coefficients of an SRP curve gain a power of p per order, which
     # buys the weaker tail inequality T + (T+1)*l >= m

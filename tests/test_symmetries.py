@@ -15,6 +15,7 @@ phases of h at u v, so the same floats.
 import cmath
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from padicsums.counting import brute_points, lift_points
 from padicsums.expsums import PhaseSpec, decay_records, sum_onevar
@@ -70,6 +71,37 @@ def test_an_affine_change_of_coordinates_keeps_every_record(curve, A, t):
 def test_an_affine_change_of_coordinates_keeps_the_point_counts(curve, A, t):
     f, _, p, _ = curve
     fa = compose(f, A, t)
+    for m in range(1, ENUMERATED + 1):
+        count = len(brute_points(f, p, m))
+        assert len(brute_points(fa, p, m)) == count, m
+        assert len(lift_points(fa, p, m)) == count, m
+
+
+@st.composite
+def unimodular_maps(draw):
+    """(A, t): A a product of at most three elementary shears, then maybe a swap."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for upper, s in draw(st.lists(st.tuples(st.booleans(), st.integers(-2, 2)), max_size=3)):
+        if upper:  # A times (1 s; 0 1)
+            b, d = b + s * a, d + s * c
+        else:  # A times (1 0; s 1)
+            a, c = a + s * b, c + s * d
+    if draw(st.booleans()):
+        (a, b), (c, d) = (c, d), (a, b)
+    return ((a, b), (c, d)), draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
+
+
+# the drawn maps leave sigma out: the search's cost depends on the x-class
+@pytest.mark.parametrize("f, g, p, levels", CURVES, ids=[f"{f}|{g}" for f, g, _, _ in CURVES])
+@settings(max_examples=50, deadline=None)
+@given(at=unimodular_maps())
+def test_a_drawn_affine_map_keeps_the_records_and_the_point_counts(f, g, p, levels, at):
+    A, t = at
+    (a, b), (c, d) = A
+    assert a * d - b * c in (1, -1)
+    f, g = parse_poly(f), parse_poly(g)
+    fa, ga = compose(f, A, t), compose(g, A, t)
+    assert_same_sums(decay_records(fa, ga, p, levels), decay_records(f, g, p, levels))
     for m in range(1, ENUMERATED + 1):
         count = len(brute_points(f, p, m))
         assert len(brute_points(fa, p, m)) == count, m
